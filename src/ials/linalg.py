@@ -1,11 +1,16 @@
 """Dense linear-algebra kernels for the alternating least squares solver.
 
-Only the two primitives the solver needs: Gramian accumulation and
-symmetric positive-definite solves.  Everything is float64; Gramian sums
-over millions of interactions lose too much precision in float32.
+The primitives the solver needs: Gramian accumulation, symmetric
+positive-definite solves, and pinning the BLAS thread count around many
+small solves.  Everything is float64; Gramian sums over millions of
+interactions lose too much precision in float32.
 """
 
 from __future__ import annotations
+
+import ctypes
+import importlib
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky
@@ -16,6 +21,14 @@ from .errors import IalsError
 # how often it is escalated (x10 each time) before giving up.
 JITTER_SCALE = 1e-10
 JITTER_RETRIES = 3
+
+# numpy and scipy each bundle an OpenBLAS.  An extension module linked
+# against it resolves its thread-count symbols; numpy's build uses 64-bit
+# integers and suffixed names.
+_OPENBLAS = (("numpy.linalg._umath_linalg", "scipy_openblas_{}_num_threads64_"),
+             ("scipy.linalg._flapack", "scipy_openblas_{}_num_threads"))
+# (get, set) function pairs, looked up on the first blas_threads call.
+_thread_controls: list | None = None
 
 
 class NotPositiveDefinite(IalsError):
@@ -74,3 +87,45 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         "jitter retries; check that the regularization weight or the "
         "unobserved weight is positive"
     )
+
+
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of each bundled OpenBLAS found."""
+    global _thread_controls
+    if _thread_controls is None:
+        controls = []
+        for module, symbol in _OPENBLAS:
+            try:
+                lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            except (ImportError, OSError):
+                continue
+            get = getattr(lib, symbol.format("get"), None)
+            set_ = getattr(lib, symbol.format("set"), None)
+            if get is None or set_ is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+        _thread_controls = controls
+    return _thread_controls
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the body with both bundled OpenBLAS libraries at n threads.
+
+    The previous counts come back on exit, also on an exception.  Small
+    per-entity solves run several times faster on one thread than with
+    threads contending for them.  The setting is process-wide: two
+    threads of one process must not train at the same time.  Without
+    the OpenBLAS symbols (another BLAS build) this does nothing.
+    """
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(n)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)

@@ -15,13 +15,14 @@ so a half-step never touches the |U| * |I| dense score matrix.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import InteractionSet
-from .errors import InputError
-from .linalg import gramian, solve_spd
+from .errors import IalsError, InputError
+from .linalg import blas_threads, gramian, solve_spd
 from .model import FactorModel, init_model
 
 SOLVER_KINDS = ("exact", "block")
@@ -55,6 +56,10 @@ class Hyperparameters:
     projection_repeats: int = 8
 
     def __post_init__(self):
+        for name in ("alpha0", "lambda_", "lambda_star", "sigma_star"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if self.dim < 1:
             raise InputError("dim must be >= 1")
         if self.alpha0 < 0:
@@ -169,52 +174,69 @@ def solve_entity_block(current: np.ndarray, history: np.ndarray, G: np.ndarray,
     is minimized exactly with the other coordinates held at their current
     values, in order; the fixed point of repeated passes is the
     solve_entity solution.  Returns a new vector; current is not modified.
+
+    The d x d system is never formed (iALS++): the pass keeps the residual
+    r = 1 - history @ x of each observed row and g = alpha0 * G @ x, so a
+    block costs one b x b system and O(n*b + d*b) updates, and a pass
+    O(n*d*b + d*d + d*b*b).  One block is the closed-form solve_entity.
     """
     d = G.shape[0]
     history = np.asarray(history, dtype=np.float64).reshape(-1, d)
     x = np.array(current, dtype=np.float64, copy=True)
     if x.shape != (d,):
         raise InputError(f"current has shape {x.shape}, expected ({d},)")
-    A = history.T @ history + alpha0 * G
-    A[np.diag_indices_from(A)] += lambda_entity
-    b = history.sum(axis=0)
+    if block_size >= d:
+        return solve_entity(history, G, alpha0, lambda_entity)
+    r = 1.0 - history @ x
+    g = alpha0 * (G @ x)
     for start in range(0, d, block_size):
-        end = min(start + block_size, d)
-        # rhs = b_B - A[B, outside] @ x[outside]; adding back the in-block
-        # product avoids materializing the complement index set.
-        rhs = b[start:end] - A[start:end] @ x + A[start:end, start:end] @ x[start:end]
-        x[start:end] = solve_spd(A[start:end, start:end], rhs)
+        B = slice(start, min(start + block_size, d))
+        h = history[:, B]
+        A = h.T @ h + alpha0 * G[B, B]
+        A.flat[:: A.shape[0] + 1] += lambda_entity
+        delta = solve_spd(A, h.T @ r - g[B] - lambda_entity * x[B])
+        x[B] += delta
+        r -= h @ delta
+        g += alpha0 * (G[:, B] @ delta)
     return x
 
 
 def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
-                 partners: np.ndarray, hp: Hyperparameters) -> None:
-    """Re-solve every row of `factors` against the fixed side, in place."""
+                 partners: np.ndarray, hp: Hyperparameters, side: str) -> None:
+    """Re-solve every row of `factors` against the fixed side, in place.
+
+    Raises IalsError if any updated factor is not finite, so a NaN or inf
+    never reaches a saved model.
+    """
     G = gramian(fixed)
     other_side_size = fixed.shape[0]
-    for e in range(factors.shape[0]):
-        rows = fixed[partners[ptr[e]:ptr[e + 1]]]
-        lam = regularization_weight(rows.shape[0], other_side_size,
-                                    hp.alpha0, hp.nu, hp.lambda_)
-        if hp.solver == "block":
-            factors[e] = solve_entity_block(factors[e], rows, G,
-                                            hp.alpha0, lam, hp.block_size)
-        else:
-            factors[e] = solve_entity(rows, G, hp.alpha0, lam)
+    with blas_threads(1):
+        for e in range(factors.shape[0]):
+            rows = fixed[partners[ptr[e]:ptr[e + 1]]]
+            lam = regularization_weight(rows.shape[0], other_side_size,
+                                        hp.alpha0, hp.nu, hp.lambda_)
+            if hp.solver == "block":
+                factors[e] = solve_entity_block(factors[e], rows, G,
+                                                hp.alpha0, lam, hp.block_size)
+            else:
+                factors[e] = solve_entity(rows, G, hp.alpha0, lam)
+    bad = np.count_nonzero(~np.isfinite(factors))
+    if bad:
+        raise IalsError(f"{side} half-step produced {bad} non-finite factor entries")
 
 
 def update_users(model: FactorModel, data: InteractionSet, hp: Hyperparameters) -> None:
     """Half-step: re-solve all user embeddings with items fixed (mutates W)."""
     hp = hp.resolve(data)
     _update_side(model.user_factors, model.item_factors,
-                 data.user_ptr, data.user_items, hp)
+                 data.user_ptr, data.user_items, hp, "user")
 
 
 def update_items(model: FactorModel, data: InteractionSet, hp: Hyperparameters) -> None:
     """Half-step: re-solve all item embeddings with users fixed (mutates H)."""
     hp = hp.resolve(data)
     _update_side(model.item_factors, model.user_factors,
-                 data.item_ptr, data.item_users, hp)
+                 data.item_ptr, data.item_users, hp, "item")
 
 
 def compute_losses(model: FactorModel, data: InteractionSet,
@@ -266,12 +288,13 @@ def project_user(history_items, H: np.ndarray, G_H: np.ndarray,
     rows = H[history_items]
     lam = regularization_weight(history_items.size, H.shape[0],
                                 hp.alpha0, hp.nu, hp.lambda_)
-    if hp.solver == "block":
-        x = np.zeros(G_H.shape[0])
-        for _ in range(hp.projection_repeats):
-            x = solve_entity_block(x, rows, G_H, hp.alpha0, lam, hp.block_size)
-        return x
-    return solve_entity(rows, G_H, hp.alpha0, lam)
+    with blas_threads(1):
+        if hp.solver == "block":
+            x = np.zeros(G_H.shape[0])
+            for _ in range(hp.projection_repeats):
+                x = solve_entity_block(x, rows, G_H, hp.alpha0, lam, hp.block_size)
+            return x
+        return solve_entity(rows, G_H, hp.alpha0, lam)
 
 
 def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None,

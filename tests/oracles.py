@@ -2,7 +2,8 @@
 
 Everything here trades efficiency for obviousness: dense matrices,
 explicit loops over every user-item pair, rank-by-rank metric evaluation.
-None of it imports solver/metrics internals beyond plain data types.
+None of it imports solver/metrics internals beyond plain data types
+and the Cholesky solve primitive.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ials.errors import InputError
+from ials.linalg import solve_spd
 
 
 def rating_weight(count, other_side_size, alpha0, nu, lam):
@@ -54,6 +58,26 @@ def normal_equation_solution(observed_rows, all_rows, alpha0, lam_entity) -> np.
         A += np.outer(h, h)
         b += h
     return np.linalg.solve(A, b)
+
+
+def block_pass_dense(current, history, G, alpha0, lambda_entity, block_size):
+    """One cyclic block coordinate descent pass on the fully assembled
+    d x d system: each block solves A_BB x_B = b_B - A_B,outside x_outside."""
+    d = G.shape[0]
+    history = np.asarray(history, dtype=np.float64).reshape(-1, d)
+    x = np.array(current, dtype=np.float64, copy=True)
+    if x.shape != (d,):
+        raise InputError(f"current has shape {x.shape}, expected ({d},)")
+    A = history.T @ history + alpha0 * G
+    A[np.diag_indices_from(A)] += lambda_entity
+    b = history.sum(axis=0)
+    for start in range(0, d, block_size):
+        end = min(start + block_size, d)
+        # rhs = b_B - A[B, outside] @ x[outside]; adding back the in-block
+        # product avoids materializing the complement index set.
+        rhs = b[start:end] - A[start:end] @ x + A[start:end, start:end] @ x[start:end]
+        x[start:end] = solve_spd(A[start:end, start:end], rhs)
+    return x
 
 
 def implicit_loss_double_loop(W, H, alpha0) -> float:

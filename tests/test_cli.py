@@ -168,6 +168,16 @@ class TestTrainCommand:
                    "--alpha0", "0.1"])
         assert rc == 2
 
+    def test_nan_alpha0_is_input_error(self, tmp_path, raw_file, capsys, caplog):
+        loo = make_loo_dir(tmp_path, raw_file)
+        rc = main(["train", "--split-dir", str(loo), "--protocol", "loo",
+                   "--out", str(tmp_path / "run"), "--dim", "2",
+                   "--alpha0", "nan", "--lambda", "0.02"])
+        assert rc == 2
+        assert "alpha0 must be finite" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+        assert not list((tmp_path / "run").glob("model-*"))
+
     def test_unsolvable_system_is_runtime_error(self, tmp_path, raw_file):
         # zero init with zero regularization and zero alpha0 produces an
         # all-zero normal matrix that no jitter can rescue

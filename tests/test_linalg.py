@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ials.linalg
 from ials import NotPositiveDefinite, gramian, solve_spd
+from ials.linalg import blas_threads
 
 
 class TestGramian:
@@ -77,3 +79,30 @@ class TestSolveSpd:
         solve_spd(A, b)
         assert np.array_equal(A, A0)
         assert np.array_equal(b, b0)
+
+
+class TestBlasThreads:
+    @staticmethod
+    def counts():
+        return [get() for get, _ in ials.linalg._openblas_thread_controls()]
+
+    def test_pins_and_restores(self):
+        before = self.counts()
+        with blas_threads(1):
+            assert self.counts() == [1] * len(before)
+        assert self.counts() == before
+
+    def test_restores_after_exception(self):
+        before = self.counts()
+        with pytest.raises(RuntimeError):
+            with blas_threads(1):
+                raise RuntimeError("boom")
+        assert self.counts() == before
+
+    def test_no_op_without_symbols(self, monkeypatch):
+        real = ials.linalg._openblas_thread_controls()
+        before = [get() for get, _ in real]
+        monkeypatch.setattr(ials.linalg, "_thread_controls", [])
+        with blas_threads(1):
+            assert [get() for get, _ in real] == before
+        assert [get() for get, _ in real] == before

@@ -3,9 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ials.linalg
+import ials.solver
 from ials import (
     FactorModel,
     Hyperparameters,
+    IalsError,
     InputError,
     InteractionSet,
     compute_losses,
@@ -59,6 +62,16 @@ class TestHyperparameters:
             hp_direct(block_size=0)
         with pytest.raises(InputError):
             hp_direct(iterations=-1)
+
+    @pytest.mark.parametrize("field", ["alpha0", "lambda_", "lambda_star", "sigma_star"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        kw = dict(dim=4, alpha0=0.1, lambda_=0.01)
+        if field == "lambda_star":
+            kw["lambda_"] = None
+        kw[field] = value
+        with pytest.raises(InputError, match=f"{field} must be finite"):
+            Hyperparameters(**kw)
 
     def test_zero_reg_allowed(self):
         # the loss is well defined at lambda = 0 (alpha0 keeps systems PD)
@@ -187,6 +200,27 @@ class TestSolveEntityBlock:
             now = quad(x)
             assert now <= prev + 1e-12 * max(1.0, abs(prev))
             prev = now
+
+    @pytest.mark.parametrize("d,block_size,n,start", [
+        (7, 3, 20, "zero"),      # d not a multiple of b
+        (7, 3, 20, "random"),    # non-zero current
+        (6, 1, 15, "random"),    # one coordinate per block
+        (6, 6, 15, "random"),    # one block: the closed form
+        (6, 9, 15, "random"),    # b > d
+        (5, 2, 0, "random"),     # empty history
+        (48, 16, 30, "random"),
+    ])
+    def test_matches_dense_oracle(self, rng, d, block_size, n, start):
+        for _ in range(5):
+            H = rng.standard_normal((n + 10, d)) * (0.5 / np.sqrt(d))
+            history = H[:n]
+            G = gramian(H)
+            alpha0, lam = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.01, 0.5))
+            current = rng.standard_normal(d) if start == "random" else np.zeros(d)
+            got = solve_entity_block(current, history, G, alpha0, lam, block_size)
+            ref = oracles.block_pass_dense(current, history, G, alpha0, lam, block_size)
+            scale = max(np.abs(ref).max(), np.abs(current).max())
+            assert np.abs(got - ref).max() <= 1e-10 * scale
 
 
 class TestUpdates:
@@ -350,6 +384,57 @@ class TestProjectUser:
                                              projection_repeats=8))
             rel = np.linalg.norm(blocked - exact) / max(1e-12, np.linalg.norm(exact))
             assert rel <= 1e-3
+
+    def test_block_projection_matches_dense_oracle(self, rng):
+        d, block_size, repeats = 10, 4, 8
+        H = rng.standard_normal((40, d)) * (0.1 / np.sqrt(d))
+        G = gramian(H)
+        hp = hp_direct(dim=d, solver="block", block_size=block_size,
+                       projection_repeats=repeats)
+        for _ in range(5):
+            items = rng.choice(40, size=int(rng.integers(1, 15)), replace=False)
+            lam = regularization_weight(items.size, 40, hp.alpha0, hp.nu, hp.lambda_)
+            ref = np.zeros(d)
+            for _ in range(repeats):
+                ref = oracles.block_pass_dense(ref, H[items], G, hp.alpha0, lam, block_size)
+            got = project_user(items, H, G, hp)
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+class TestNonFiniteGuard:
+    def test_nan_in_fixed_side_raises(self, small_data):
+        model = init_model(small_data.num_users, small_data.num_items, 3, seed=1)
+        model.item_factors[0, 0] = np.nan
+        with pytest.raises(IalsError, match="user half-step") as exc:
+            update_users(model, small_data, hp_direct())
+        bad = int((~np.isfinite(model.user_factors)).sum())
+        assert bad > 0
+        assert f"{bad} non-finite" in str(exc.value)
+
+    def test_item_side_named(self, small_data):
+        model = init_model(small_data.num_users, small_data.num_items, 3, seed=1)
+        model.user_factors[0, 0] = np.inf
+        with pytest.raises(IalsError, match="item half-step"):
+            update_items(model, small_data, hp_direct())
+
+
+class TestBlasPinning:
+    def test_update_users_pins_and_restores(self, small_data, monkeypatch):
+        controls = ials.linalg._openblas_thread_controls()
+        before = [get() for get, _ in controls]
+        during = []
+        solve = ials.solver.solve_entity
+
+        def spy(*args):
+            during.append([get() for get, _ in controls])
+            return solve(*args)
+
+        monkeypatch.setattr(ials.solver, "solve_entity", spy)
+        model = init_model(small_data.num_users, small_data.num_items, 3, seed=1)
+        update_users(model, small_data, hp_direct())
+        assert len(during) == small_data.num_users
+        assert all(counts == [1] * len(controls) for counts in during)
+        assert [get() for get, _ in controls] == before
 
 
 class TestTrain:
