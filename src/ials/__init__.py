@@ -41,8 +41,6 @@ from .model import (
     load_model,
     rank_items,
     save_model,
-    score,
-    top_n,
 )
 from .solver import (
     Hyperparameters,
@@ -101,12 +99,10 @@ __all__ = [
     "save_leave_one_out",
     "save_model",
     "save_strong_generalization",
-    "score",
     "solve_entity",
     "solve_entity_block",
     "solve_spd",
     "strong_generalization_split",
-    "top_n",
     "train",
     "update_items",
     "update_users",

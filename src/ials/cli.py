@@ -23,21 +23,42 @@ from . import dataset as ds
 from . import metrics as mt
 from .errors import IalsError, InputError
 from .model import load_model, save_model
-from .solver import Hyperparameters, train
+from .solver import SOLVER_KINDS, Hyperparameters, train
 
 log = logging.getLogger("ials")
 
 ALPHA0_GRID_DEFAULT = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003)
 LAMBDA_STAR_GRID_DEFAULT = (0.1, 0.03, 0.01, 0.003, 0.001, 0.0003)
 
+# Help text of the flag of each Hyperparameters field (seed is a common
+# flag); the dataclass default is appended.
+HP_HELP = {
+    "dim": "embedding dimension",
+    "alpha0": "weight of the implicit all-pairs term",
+    "lambda_": "L2 strength (direct mode)",
+    "lambda_star": "L2 strength on the nu-star reference scale (normalized mode)",
+    "nu": "frequency exponent in [0,1]",
+    "nu_star": "reference exponent for --lambda-star",
+    "iterations": "training iterations",
+    "sigma_star": "init scale",
+    "solver": "per-entity solver",
+    "block_size": "block solver block size",
+    "projection_repeats": "block passes per fold-in projection",
+}
+_FIELD_TYPES = {"int": int, "float": float, "float | None": float, "str": str}
+
+
+def _flag(name: str) -> str:
+    """Flag of an option name: lambda_ -> --lambda, block_size -> --block-size."""
+    return "--" + name.rstrip("_").replace("_", "-")
+
 
 # ---------------------------------------------------------------------------
-# config file + option merging
+# option parsing
 # ---------------------------------------------------------------------------
 
 def load_config_file(path) -> dict[str, str]:
-    """Flat "key = value" lines; # starts a comment; keys match the flag
-    names with dashes or underscores interchangeable."""
+    """Flat "key = value" lines; # starts a comment."""
     out: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -50,10 +71,34 @@ def load_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise InputError(f"{path} line {lineno}: expected key = value")
         key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key == "lambda":  # matches the --lambda flag's lambda_ destination
-            key = "lambda_"
-        out[key] = value.strip().strip("\"'")
+        out[key.strip()] = value.strip().strip("\"'")
+    return out
+
+
+def _config_defaults(p: argparse.ArgumentParser, path) -> dict:
+    """Config values of subcommand p, converted like its flags, keyed by dest.
+
+    A key names an option the way its flag does, with dashes or
+    underscores; switches take a boolean named after their dest
+    (log_validation = false is --no-log-validation).
+    """
+    actions = {_flag(a.dest): a for a in p._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    out = {}
+    for key, raw in load_config_file(path).items():
+        action = actions.get(_flag(key))
+        if action is None:
+            raise InputError(f"{path}: unknown config key {key!r}")
+        if action.nargs not in (None, 0):
+            raise InputError(f"{path}: {key} takes several values; pass {_flag(key)}")
+        try:
+            value = _parse_bool(raw) if action.nargs == 0 else (action.type or str)(raw)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: config key {key}: bad value {raw!r}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise InputError(f"{path}: config key {key}: {raw!r} is not one of "
+                             f"{list(action.choices)}")
+        out[action.dest] = value
     return out
 
 
@@ -86,90 +131,28 @@ def _parse_bool(text: str) -> bool:
     raise InputError(f"bad boolean {text!r}")
 
 
-class Options:
-    """Namespace + config file + defaults, consulted in that order."""
+def _require(ns: argparse.Namespace, *names: str) -> None:
+    for name in names:
+        if getattr(ns, name) is None:
+            raise InputError(f"missing required option {_flag(name)}")
 
-    _CONV = {int: int, float: float, str: str}
 
-    def __init__(self, ns: argparse.Namespace):
-        self.ns = ns
-        self.config = load_config_file(ns.config) if getattr(ns, "config", None) else {}
-
-    def get(self, name: str, conv=str, default=None):
-        value = getattr(self.ns, name, None)
+def _build_hp(ns: argparse.Namespace, **fixed) -> Hyperparameters:
+    """Hyperparameters from fixed and the fields set on ns; the dataclass
+    supplies every other default."""
+    values = dict(fixed)
+    for f in dataclasses.fields(Hyperparameters):
+        value = values.get(f.name, getattr(ns, f.name, None))
         if value is not None:
-            return value
-        if name in self.config:
-            raw = self.config[name]
-            try:
-                return conv(raw)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"config key {name}: bad value {raw!r}") from exc
-        return default
-
-    def require(self, name: str, conv=str, flag: str | None = None):
-        value = self.get(name, conv)
-        if value is None:
-            raise InputError(f"missing required option {flag or '--' + name.replace('_', '-')}")
-        return value
+            values[f.name] = value
+        elif f.default is dataclasses.MISSING:
+            raise InputError(f"missing required option {_flag(f.name)}")
+    return Hyperparameters(**values)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file; flags override it")
-    p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-
-
-def _add_hp_flags(p: argparse.ArgumentParser, with_dim: bool = True) -> None:
-    if with_dim:
-        p.add_argument("--dim", type=int, help="embedding dimension")
-    p.add_argument("--alpha0", type=float, help="weight of the implicit all-pairs term")
-    p.add_argument("--lambda", dest="lambda_", type=float,
-                   help="L2 strength (direct mode)")
-    p.add_argument("--lambda-star", type=float,
-                   help="L2 strength on the nu-star reference scale (normalized mode)")
-    p.add_argument("--nu", type=float, help="frequency exponent in [0,1] (default 1)")
-    p.add_argument("--nu-star", type=float,
-                   help="reference exponent for --lambda-star (default 1)")
-    p.add_argument("--sigma-star", type=float, help="init scale (default 0.1)")
-    p.add_argument("--solver", choices=["exact", "block"],
-                   help="per-entity solver (default exact)")
-    p.add_argument("--block-size", type=int, help="block solver block size (default 128)")
-    p.add_argument("--projection-repeats", type=int,
-                   help="block passes per fold-in projection (default 8)")
-
-
-def _build_hp(opts: Options, dim: int | None = None, iterations: int | None = None,
-              ) -> Hyperparameters:
-    if dim is None:
-        dim = opts.require("dim", int)
-    if iterations is None:
-        iterations = opts.get("iterations", int, 16)
-    lambda_ = opts.get("lambda_", float)
-    lambda_star = opts.get("lambda_star", float)
-    if lambda_ is None and lambda_star is None:
-        raise InputError("set one of --lambda / --lambda-star")
-    return Hyperparameters(
-        dim=dim,
-        alpha0=opts.require("alpha0", float),
-        lambda_=lambda_,
-        lambda_star=lambda_star,
-        nu=opts.get("nu", float, 1.0),
-        nu_star=opts.get("nu_star", float, 1.0),
-        iterations=iterations,
-        sigma_star=opts.get("sigma_star", float, 0.1),
-        seed=opts.get("seed", int, 0),
-        solver=opts.get("solver", str, "exact"),
-        block_size=opts.get("block_size", int, 128),
-        projection_repeats=opts.get("projection_repeats", int, 8),
-    )
-
-
-def _eval_ks(opts: Options, protocol: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(recall_ks, ndcg_ks); for loo the ndcg list doubles as the HR list."""
-    recall_ks = opts.get("recall_ks", _parse_ks, (20, 50))
-    default_ndcg = (10,) if protocol == "loo" else (100,)
-    ndcg_ks = opts.get("ndcg_ks", _parse_ks, default_ndcg)
-    return recall_ks, ndcg_ks
+def _ndcg_ks(ns: argparse.Namespace) -> tuple[int, ...]:
+    """--ndcg-ks, defaulting by protocol; for loo it doubles as the HR list."""
+    return ns.ndcg_ks or ((10,) if ns.protocol == "loo" else (100,))
 
 
 # ---------------------------------------------------------------------------
@@ -177,47 +160,35 @@ def _eval_ks(opts: Options, protocol: str) -> tuple[tuple[int, ...], tuple[int, 
 # ---------------------------------------------------------------------------
 
 def cmd_split(ns: argparse.Namespace) -> int:
-    opts = Options(ns)
-    data_path = opts.require("data")
-    out_dir = opts.require("out")
-    protocol = opts.require("protocol")
-    seed = opts.get("seed", int, 0)
-
-    data = ds.load_interactions(
-        data_path,
-        delimiter=opts.get("delimiter"),
-        columns=opts.get("columns", str, "user,item,rating,time"),
-        min_rating=opts.get("min_rating", float),
-    )
+    _require(ns, "data", "out", "protocol")
+    data = ds.load_interactions(ns.data, delimiter=ns.delimiter, columns=ns.columns,
+                                min_rating=ns.min_rating)
     print(f"loaded: users={data.num_users} items={data.num_items} "
           f"interactions={data.num_pairs}")
 
-    if protocol == "strong-gen":
+    if ns.protocol == "strong-gen":
+        _require(ns, "holdout_users")
         validation, test = ds.strong_generalization_split(
             data,
-            n_holdout_users=opts.require("holdout_users", int),
-            n_validation_users=opts.get("validation_users", int, 0),
-            fold_in_fraction=opts.get("fold_in_fraction", float, 0.8),
-            min_user_interactions=opts.get("min_user_interactions", int, 0),
-            seed=seed,
+            n_holdout_users=ns.holdout_users,
+            n_validation_users=ns.validation_users,
+            fold_in_fraction=ns.fold_in_fraction,
+            min_user_interactions=ns.min_user_interactions,
+            seed=ns.seed,
         )
-        ds.save_strong_generalization(out_dir, validation, test)
-        ds.write_id_maps(out_dir, data)
+        ds.save_strong_generalization(ns.out, validation, test)
+        ds.write_id_maps(ns.out, data)
         print(f"train interactions={validation.train.num_pairs} "
               f"validation users={len(validation.users)} test users={len(test.users)}")
     else:
-        split = ds.leave_one_out_split(
-            data,
-            n_negatives=opts.get("negatives", int, 100),
-            seed=seed,
-            allow_seen_negatives=opts.get("allow_seen_negatives", _parse_bool, False),
-        )
-        ds.save_leave_one_out(out_dir, split)
-        ds.write_id_maps(out_dir, data)
+        split = ds.leave_one_out_split(data, n_negatives=ns.negatives, seed=ns.seed,
+                                       allow_seen_negatives=ns.allow_seen_negatives)
+        ds.save_leave_one_out(ns.out, split)
+        ds.write_id_maps(ns.out, data)
         print(f"train interactions={split.train.num_pairs} "
               f"holdout users={split.users.size} "
               f"negatives per user={split.negatives.shape[1]}")
-    print(f"split written to {out_dir}")
+    print(f"split written to {ns.out}")
     return 0
 
 
@@ -254,33 +225,26 @@ def _train_one(train_data, hp: Hyperparameters, out_dir: Path, seed: int,
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
-    opts = Options(ns)
-    split_dir = opts.require("split_dir")
-    protocol = opts.require("protocol")
-    out_dir = Path(opts.require("out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    repeats = opts.get("repeats", int, 1)
-    if repeats < 1:
+    _require(ns, "split_dir", "protocol", "out")
+    if ns.repeats < 1:
         raise InputError("--repeats must be >= 1")
-    hp = _build_hp(opts)
-    recall_ks, ndcg_ks = _eval_ks(opts, protocol)
-    log_validation = opts.get("log_validation", _parse_bool, True)
+    hp = _build_hp(ns)
+    out_dir = Path(ns.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     eval_fn = None
-    if protocol == "strong-gen":
-        validation, test = ds.load_strong_generalization(split_dir)
+    if ns.protocol == "strong-gen":
+        validation, test = ds.load_strong_generalization(ns.split_dir)
         train_data = test.train
-        if log_validation and validation is not None and validation.users:
+        if ns.log_validation and validation is not None and validation.users:
             def eval_fn(model, _split=validation):
                 return mt.evaluate_strong_generalization(
-                    model, _split, hp, recall_ks=recall_ks, ndcg_ks=ndcg_ks)
+                    model, _split, hp, recall_ks=ns.recall_ks, ndcg_ks=_ndcg_ks(ns))
     else:
-        split = ds.load_leave_one_out(split_dir)
-        train_data = split.train
+        train_data = ds.load_leave_one_out(ns.split_dir).train
 
-    base_seed = hp.seed
-    paths = [_train_one(train_data, hp, out_dir, base_seed + r, eval_fn=eval_fn)
-             for r in range(repeats)]
+    paths = [_train_one(train_data, hp, out_dir, hp.seed + r, eval_fn=eval_fn)
+             for r in range(ns.repeats)]
     print("\n".join(str(p) for p in paths))
     return 0
 
@@ -300,107 +264,68 @@ def _aggregate(reports: list[mt.MetricReport]) -> dict:
     return out
 
 
-def _evaluate_models(model_paths, split_dir, protocol, opts: Options) -> dict:
-    recall_ks, ndcg_ks = _eval_ks(opts, protocol)
-    reports = []
-    if protocol == "strong-gen":
-        validation, test = ds.load_strong_generalization(split_dir)
-        part = opts.get("part", str, "test")
-        if part == "validation":
-            if validation is None or not validation.users:
-                raise InputError(f"{split_dir} has no validation users")
-            split = validation
-        elif part == "test":
-            split = test
-        else:
-            raise InputError(f"--part must be validation or test, got {part!r}")
-        first = load_model(model_paths[0])
-        hp = _build_hp(opts, dim=first.dim, iterations=0)
-        for path in model_paths:
-            model = load_model(path)
-            reports.append(mt.evaluate_strong_generalization(
-                model, split, hp, recall_ks=recall_ks, ndcg_ks=ndcg_ks))
-    else:
-        split = ds.load_leave_one_out(split_dir)
-        for path in model_paths:
-            model = load_model(path)
-            reports.append(mt.evaluate_sampled(model, split, ks=ndcg_ks))
-    return _aggregate(reports)
-
-
 def cmd_evaluate(ns: argparse.Namespace) -> int:
-    opts = Options(ns)
-    split_dir = opts.require("split_dir")
-    protocol = opts.require("protocol")
-    if not ns.model:
-        raise InputError("pass at least one --model file")
-    result = _evaluate_models(ns.model, split_dir, protocol, opts)
-    text = json.dumps(result, indent=2)
+    _require(ns, "split_dir", "protocol", "model")
+    ndcg_ks = _ndcg_ks(ns)
+    if ns.protocol == "strong-gen":
+        validation, split = ds.load_strong_generalization(ns.split_dir)
+        if ns.part == "validation":
+            if validation is None or not validation.users:
+                raise InputError(f"{ns.split_dir} has no validation users")
+            split = validation
+        hp = _build_hp(ns, dim=load_model(ns.model[0]).dim)
+        reports = [mt.evaluate_strong_generalization(
+            load_model(path), split, hp, recall_ks=ns.recall_ks, ndcg_ks=ndcg_ks)
+            for path in ns.model]
+    else:
+        split = ds.load_leave_one_out(ns.split_dir)
+        reports = [mt.evaluate_sampled(load_model(path), split, ks=ndcg_ks)
+                   for path in ns.model]
+    text = json.dumps(_aggregate(reports), indent=2)
     print(text)
-    out = opts.get("out")
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+    if ns.out:
+        Path(ns.out).write_text(text + "\n", encoding="utf-8")
     return 0
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    opts = Options(ns)
-    split_dir = opts.require("split_dir")
-    protocol = opts.require("protocol")
-    out_path = Path(opts.get("out", str, "sweep.csv"))
-    recall_ks, ndcg_ks = _eval_ks(opts, protocol)
-    seed = opts.get("seed", int, 0)
-
-    alpha0_grid = opts.get("alpha0_grid", _parse_floats, ALPHA0_GRID_DEFAULT)
-    lambda_grid = opts.get("lambda_grid", _parse_floats)
-    lambda_star_grid = opts.get("lambda_star_grid", _parse_floats)
-    if lambda_grid is not None and lambda_star_grid is not None:
+    _require(ns, "split_dir", "protocol")
+    recall_ks, ndcg_ks = ns.recall_ks, _ndcg_ks(ns)
+    if ns.lambda_grid is not None and ns.lambda_star_grid is not None:
         raise InputError("set only one of --lambda-grid / --lambda-star-grid")
-    direct = lambda_grid is not None
-    reg_grid = lambda_grid if direct else (lambda_star_grid or LAMBDA_STAR_GRID_DEFAULT)
+    direct = ns.lambda_grid is not None
+    reg_grid = (ns.lambda_grid if direct
+                else ns.lambda_star_grid or LAMBDA_STAR_GRID_DEFAULT)
     reg_field = "lambda_" if direct else "lambda_star"
     reg_col = "lambda" if direct else "lambda_star"
+    base = _build_hp(ns, alpha0=ns.alpha0_grid[0], **{reg_field: reg_grid[0]})
 
-    if protocol == "strong-gen":
-        validation, test = ds.load_strong_generalization(split_dir)
+    if ns.protocol == "strong-gen":
+        validation, test = ds.load_strong_generalization(ns.split_dir)
         if validation is None or not validation.users:
-            raise InputError(f"{split_dir} has no validation users to sweep on")
+            raise InputError(f"{ns.split_dir} has no validation users to sweep on")
         train_data = validation.train
-        metric = opts.get("metric", str, f"ndcg@{ndcg_ks[0]}")
+        metric = ns.metric or f"ndcg@{ndcg_ks[0]}"
 
         def evaluate(model, hp):
             return mt.evaluate_strong_generalization(
                 model, validation, hp, recall_ks=recall_ks, ndcg_ks=ndcg_ks)
     else:
-        outer = ds.load_leave_one_out(split_dir)
+        outer = ds.load_leave_one_out(ns.split_dir)
         # No validation artifacts exist under leave-one-out, so carve an
         # inner validation split out of the training interactions.
         inner = ds.leave_one_out_split(
-            outer.train, n_negatives=outer.negatives.shape[1], seed=seed)
+            outer.train, n_negatives=outer.negatives.shape[1], seed=ns.seed)
         train_data = inner.train
-        metric = opts.get("metric", str, f"hr@{ndcg_ks[0]}")
+        metric = ns.metric or f"hr@{ndcg_ks[0]}"
 
         def evaluate(model, hp):
             return mt.evaluate_sampled(model, inner, ks=ndcg_ks)
 
-    base = Hyperparameters(
-        dim=opts.require("dim", int),
-        alpha0=alpha0_grid[0],
-        **{reg_field: reg_grid[0]},
-        nu=opts.get("nu", float, 1.0),
-        nu_star=opts.get("nu_star", float, 1.0),
-        iterations=opts.get("iterations", int, 16),
-        sigma_star=opts.get("sigma_star", float, 0.1),
-        seed=seed,
-        solver=opts.get("solver", str, "exact"),
-        block_size=opts.get("block_size", int, 128),
-        projection_repeats=opts.get("projection_repeats", int, 8),
-    )
-
     metric_names = None
     rows = []
     best = None
-    for alpha0 in alpha0_grid:
+    for alpha0 in ns.alpha0_grid:
         for reg in reg_grid:
             hp = dataclasses.replace(base, alpha0=alpha0, **{reg_field: reg})
             tag = f"alpha0={alpha0:g} {reg_col}={reg:g}"
@@ -426,11 +351,11 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                 best = (alpha0, reg, report.means[metric])
 
     fieldnames = ["alpha0", reg_col, "status"] + (metric_names or [])
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with open(ns.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
-    print(f"sweep table written to {out_path}")
+    print(f"sweep table written to {ns.out}")
 
     if best is None:
         log.error("every grid point failed")
@@ -443,6 +368,26 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+def _add_hp_flags(p: argparse.ArgumentParser, skip=()) -> None:
+    """One flag per Hyperparameters field, named by _flag, dest the field name."""
+    for f in dataclasses.fields(Hyperparameters):
+        if f.name == "seed" or f.name in skip:
+            continue
+        shown = HP_HELP[f.name]
+        if f.default not in (dataclasses.MISSING, None):
+            shown += f" (default {f.default})"
+        p.add_argument(_flag(f.name), dest=f.name, type=_FIELD_TYPES[f.type],
+                       choices=SOLVER_KINDS if f.name == "solver" else None, help=shown)
+
+
+def _add_eval_ks(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--recall-ks", type=_parse_ks, default=(20, 50),
+                   help="comma list (default 20,50)")
+    p.add_argument("--ndcg-ks", type=_parse_ks,
+                   help="comma list (default 10 under loo, where it is also the HR "
+                        "list, 100 under strong-gen)")
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ials",
@@ -450,75 +395,65 @@ def make_parser() -> argparse.ArgumentParser:
                     "evaluate, sweep.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("split", help="materialize an evaluation split directory")
-    _add_common(p)
+    def command(name, func, help_text):
+        # no prefix matching: sweep --alpha0 must not mean --alpha0-grid
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func, parser=p)
+        p.add_argument("--config", help="flat key = value config file; flags override it")
+        p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+        p.add_argument("--protocol", choices=["strong-gen", "loo"])
+        if name != "split":
+            p.add_argument("--split-dir", help="split directory from the split subcommand")
+        return p
+
+    p = command("split", cmd_split, "materialize an evaluation split directory")
     p.add_argument("--data", help="raw interaction file (csv/tsv, optionally .gz)")
-    p.add_argument("--protocol", choices=["strong-gen", "loo"])
     p.add_argument("--out", help="split directory to write")
     p.add_argument("--delimiter", help="field separator (default: , or tab by extension)")
-    p.add_argument("--columns", help="positional names, e.g. user,item,rating,time")
+    p.add_argument("--columns", default="user,item,rating,time",
+                   help="positional names (default %(default)s)")
     p.add_argument("--min-rating", type=float,
                    help="keep rows with rating >= this (default: keep all)")
     p.add_argument("--holdout-users", type=int, help="strong-gen: #test users")
-    p.add_argument("--validation-users", type=int,
+    p.add_argument("--validation-users", type=int, default=0,
                    help="strong-gen: #validation users (default 0)")
-    p.add_argument("--fold-in-fraction", type=float,
+    p.add_argument("--fold-in-fraction", type=float, default=0.8,
                    help="strong-gen: revealed fraction per eval user (default 0.8)")
-    p.add_argument("--min-user-interactions", type=int,
+    p.add_argument("--min-user-interactions", type=int, default=0,
                    help="strong-gen: eligibility threshold for eval users")
-    p.add_argument("--negatives", type=int, help="loo: sampled negatives (default 100)")
-    p.add_argument("--allow-seen-negatives", action="store_const", const=True,
-                   dest="allow_seen_negatives",
+    p.add_argument("--negatives", type=int, default=100,
+                   help="loo: sampled negatives (default 100)")
+    p.add_argument("--allow-seen-negatives", action="store_true",
                    help="loo: sample negatives from all items except the holdout")
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", help="train and persist model(s) with a JSONL loss log")
-    _add_common(p)
-    p.add_argument("--split-dir", help="split directory from the split subcommand")
-    p.add_argument("--protocol", choices=["strong-gen", "loo"])
+    p = command("train", cmd_train, "train and persist model(s) with a JSONL loss log")
     p.add_argument("--out", help="output directory for models and logs")
     _add_hp_flags(p)
-    p.add_argument("--iterations", type=int, help="training iterations (default 16)")
-    p.add_argument("--repeats", type=int,
+    p.add_argument("--repeats", type=int, default=1,
                    help="train this many models with seeds seed..seed+n-1")
-    p.add_argument("--recall-ks", dest="recall_ks", type=_parse_ks,
-                   help="comma list, e.g. 20,50")
-    p.add_argument("--ndcg-ks", dest="ndcg_ks", type=_parse_ks,
-                   help="comma list, e.g. 100 (under loo this is the HR/NDCG k list)")
-    p.add_argument("--no-log-validation", action="store_const", const=False,
-                   dest="log_validation",
+    _add_eval_ks(p)
+    p.add_argument("--no-log-validation", action="store_false", dest="log_validation",
                    help="skip per-iteration validation metrics even if available")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate saved model(s) on a split")
-    _add_common(p)
+    p = command("evaluate", cmd_evaluate, "evaluate saved model(s) on a split")
     p.add_argument("--model", nargs="+", help="model file(s); several -> mean and std")
-    p.add_argument("--split-dir", help="split directory")
-    p.add_argument("--protocol", choices=["strong-gen", "loo"])
-    p.add_argument("--part", choices=["validation", "test"],
+    p.add_argument("--part", choices=["validation", "test"], default="test",
                    help="strong-gen part to score (default test)")
-    _add_hp_flags(p, with_dim=False)
-    p.add_argument("--recall-ks", dest="recall_ks", type=_parse_ks)
-    p.add_argument("--ndcg-ks", dest="ndcg_ks", type=_parse_ks)
+    # fold-in reads the solver settings; dim comes from the model file
+    _add_hp_flags(p, skip=("dim", "iterations", "sigma_star"))
+    _add_eval_ks(p)
     p.add_argument("--out", help="also write the JSON report here")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="grid-search alpha0 x lambda on validation data")
-    _add_common(p)
-    p.add_argument("--split-dir")
-    p.add_argument("--protocol", choices=["strong-gen", "loo"])
-    p.add_argument("--out", help="CSV output path (default sweep.csv)")
-    _add_hp_flags(p)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--alpha0-grid", type=_parse_floats, help="comma list of alpha0 values")
+    p = command("sweep", cmd_sweep, "grid-search alpha0 x lambda on validation data")
+    p.add_argument("--out", default="sweep.csv", help="CSV output path (default sweep.csv)")
+    _add_hp_flags(p, skip=("alpha0", "lambda_", "lambda_star"))
+    p.add_argument("--alpha0-grid", type=_parse_floats, default=ALPHA0_GRID_DEFAULT,
+                   help="comma list of alpha0 values")
     p.add_argument("--lambda-grid", type=_parse_floats, help="comma list (direct mode)")
     p.add_argument("--lambda-star-grid", type=_parse_floats,
                    help="comma list (normalized mode; the default grid)")
     p.add_argument("--metric", help="selection metric name (default ndcg@100 / hr@10)")
-    p.add_argument("--recall-ks", dest="recall_ks", type=_parse_ks)
-    p.add_argument("--ndcg-ks", dest="ndcg_ks", type=_parse_ks)
-    p.set_defaults(func=cmd_sweep)
-
+    _add_eval_ks(p)
     return parser
 
 
@@ -527,8 +462,11 @@ def main(argv=None) -> int:
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
                         datefmt="%H:%M:%S")
     parser = make_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = parser.parse_args(argv)
+        if ns.config:
+            ns.parser.set_defaults(**_config_defaults(ns.parser, ns.config))
+            ns = parser.parse_args(argv)
         return ns.func(ns)
     except InputError as exc:
         log.error("%s", exc)

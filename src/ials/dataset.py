@@ -166,11 +166,6 @@ class InteractionSet:
         users = np.repeat(np.arange(self.num_users, dtype=np.int64), self.user_counts)
         return users, self.user_items.copy()
 
-    def has_pair(self, u: int, i: int) -> bool:
-        row = self.items_of(u)
-        pos = np.searchsorted(row, i)
-        return pos < row.size and row[pos] == i
-
 
 @dataclass(frozen=True)
 class HoldoutUser:
@@ -491,8 +486,11 @@ def _write_holdout_users(path, holdout_users, part):
                 fh.write(f"{hu.user},{i}\n")
 
 
-def _read_int_rows(path, min_fields=2):
-    """Integer CSV rows; the first line is skipped if it does not parse."""
+def _read_int_rows(path, min_fields=2, may_be_empty=False):
+    """Integer CSV rows; the first line is skipped if it does not parse.
+
+    Raises InputError when the file has no rows, unless may_be_empty.
+    """
     rows = []
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -509,6 +507,8 @@ def _read_int_rows(path, min_fields=2):
             if len(row) < min_fields:
                 raise ParseError(f"{path} line {lineno}: expected >= {min_fields} fields")
             rows.append(row)
+    if not rows and not may_be_empty:
+        raise InputError(f"{path}: no rows")
     return rows
 
 
@@ -564,7 +564,10 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
     for part in ("validation", "test"):
         fi, tg = d / f"{part}_fold_in.csv", d / f"{part}_target.csv"
         if fi.exists() and tg.exists():
-            parts[part] = (_read_int_rows(fi), _read_int_rows(tg))
+            # no validation users leave the validation files empty
+            empty_ok = part == "validation"
+            parts[part] = (_read_int_rows(fi, may_be_empty=empty_ok),
+                           _read_int_rows(tg, may_be_empty=empty_ok))
         elif part == "test":
             raise InputError(f"{d}: missing {part}_fold_in.csv / {part}_target.csv")
 
@@ -610,6 +613,10 @@ def load_leave_one_out(split_dir) -> LeaveOneOutSplit:
     holdout_rows = _read_int_rows(d / "test_holdout.csv")
     neg_rows = _read_int_rows(d / "test_negatives.csv")
 
+    for name, rows in (("test_holdout.csv", holdout_rows), ("test_negatives.csv", neg_rows)):
+        users, counts = np.unique([r[0] for r in rows], return_counts=True)
+        if (counts > 1).any():
+            raise InputError(f"{d / name}: user {users[counts > 1][0]} has more than one row")
     n_negs = {len(r) - 1 for r in neg_rows}
     if len(n_negs) > 1:
         raise InputError(f"{d}/test_negatives.csv: inconsistent row widths {sorted(n_negs)}")

@@ -1,4 +1,4 @@
-"""Factor model container, seeded initialization, scoring, and model files."""
+"""Factor model container, seeded initialization, ranking, and model files."""
 
 from __future__ import annotations
 
@@ -61,16 +61,6 @@ def init_model(num_users: int, num_items: int, dim: int,
     return FactorModel(user_factors=w, item_factors=h)
 
 
-def score(user_vec: np.ndarray, item_factors: np.ndarray) -> np.ndarray:
-    """Scores of one user embedding against every row of item_factors."""
-    user_vec = np.asarray(user_vec, dtype=np.float64)
-    if user_vec.ndim != 1 or user_vec.size != item_factors.shape[1]:
-        raise DimensionMismatch(
-            f"user vector of size {user_vec.size} vs item dim {item_factors.shape[1]}"
-        )
-    return item_factors @ user_vec
-
-
 @dataclass(frozen=True)
 class RankedList:
     """Top-ranked items with their scores, best first."""
@@ -96,12 +86,6 @@ def rank_items(scores: np.ndarray, exclude: np.ndarray | None = None,
     if k is not None:
         order = order[:k]
     return RankedList(items=order, scores=scores[order])
-
-
-def top_n(user_vec: np.ndarray, item_factors: np.ndarray, n: int,
-          exclude: np.ndarray | None = None) -> RankedList:
-    """Top-n recommendation for one user embedding."""
-    return rank_items(score(user_vec, item_factors), exclude=exclude, k=n)
 
 
 def save_model(path, model: FactorModel) -> None:

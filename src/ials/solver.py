@@ -103,26 +103,27 @@ class LossReport:
     R: float
 
 
-def regularization_weight(count: int, other_side_size: int, alpha0: float,
-                          nu: float, lambda_: float) -> float:
-    """Frequency-scaled L2 weight lambda * (count + alpha0*other_side_size)**nu."""
-    return lambda_ * float(count + alpha0 * other_side_size) ** nu
+def regularization_weight(count, other_side_size: int, alpha0: float,
+                          nu: float, lambda_: float):
+    """Frequency-scaled L2 weight lambda * (count + alpha0*other_side_size)**nu.
 
-
-def _penalty_base(counts: np.ndarray, other_side_size: int, alpha0: float) -> np.ndarray:
-    return counts.astype(np.float64) + alpha0 * other_side_size
+    count is one interaction count or an array of them; the result has
+    its shape.
+    """
+    base = np.asarray(count, dtype=np.float64) + alpha0 * other_side_size
+    return lambda_ * np.power(base, nu)
 
 
 def effective_lambda_from_counts(lambda_star: float, nu: float, nu_star: float,
                                  user_counts, item_counts, alpha0: float) -> float:
     """Rescaled lambda from raw degree profiles (see effective_lambda)."""
-    user_counts = np.asarray(user_counts, dtype=np.float64)
-    item_counts = np.asarray(item_counts, dtype=np.float64)
-    u_base = _penalty_base(user_counts, item_counts.size, alpha0)
-    i_base = _penalty_base(item_counts, user_counts.size, alpha0)
+    user_counts = np.asarray(user_counts)
+    item_counts = np.asarray(item_counts)
 
     def mass(exponent: float) -> float:
-        return float(np.power(u_base, exponent).sum() + np.power(i_base, exponent).sum())
+        return float(
+            regularization_weight(user_counts, item_counts.size, alpha0, exponent, 1.0).sum()
+            + regularization_weight(item_counts, user_counts.size, alpha0, exponent, 1.0).sum())
 
     # Same code path for both sums, and the ratio is formed first: when
     # nu == nu_star it is exactly 1.0 and lambda_star passes through bitwise.
@@ -209,17 +210,15 @@ def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
     never reaches a saved model.
     """
     G = gramian(fixed)
-    other_side_size = fixed.shape[0]
+    lams = regularization_weight(np.diff(ptr), fixed.shape[0], hp.alpha0, hp.nu, hp.lambda_)
     with blas_threads(1):
         for e in range(factors.shape[0]):
             rows = fixed[partners[ptr[e]:ptr[e + 1]]]
-            lam = regularization_weight(rows.shape[0], other_side_size,
-                                        hp.alpha0, hp.nu, hp.lambda_)
             if hp.solver == "block":
                 factors[e] = solve_entity_block(factors[e], rows, G,
-                                                hp.alpha0, lam, hp.block_size)
+                                                hp.alpha0, lams[e], hp.block_size)
             else:
-                factors[e] = solve_entity(rows, G, hp.alpha0, lam)
+                factors[e] = solve_entity(rows, G, hp.alpha0, lams[e])
     bad = np.count_nonzero(~np.isfinite(factors))
     if bad:
         raise IalsError(f"{side} half-step produced {bad} non-finite factor entries")
@@ -260,10 +259,10 @@ def compute_losses(model: FactorModel, data: InteractionSet,
 
     loss_i = hp.alpha0 * float(np.tensordot(gramian(W), gramian(H)))
 
-    lam_u = hp.lambda_ * np.power(
-        _penalty_base(data.user_counts, data.num_items, hp.alpha0), hp.nu)
-    lam_i = hp.lambda_ * np.power(
-        _penalty_base(data.item_counts, data.num_users, hp.alpha0), hp.nu)
+    lam_u = regularization_weight(data.user_counts, data.num_items,
+                                  hp.alpha0, hp.nu, hp.lambda_)
+    lam_i = regularization_weight(data.item_counts, data.num_users,
+                                  hp.alpha0, hp.nu, hp.lambda_)
     reg = float(lam_u @ (W ** 2).sum(axis=1) + lam_i @ (H ** 2).sum(axis=1))
 
     return LossReport(iteration=iteration, L=loss_s + loss_i + reg,

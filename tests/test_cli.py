@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import ials.cli as cli
-from ials import IalsError
+from ials import Hyperparameters, IalsError
 from ials.cli import main
 from ials.dataset import LOO_FILES, STRONG_GEN_FILES
 
@@ -154,12 +155,33 @@ class TestTrainCommand:
             assert (out / f"train-seed{seed}.jsonl").exists()
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
-    def test_missing_dim_is_input_error(self, tmp_path, raw_file):
+    def test_missing_dim_is_input_error(self, tmp_path, raw_file, caplog):
         loo = make_loo_dir(tmp_path, raw_file)
         rc = main(["train", "--split-dir", str(loo), "--protocol", "loo",
                    "--out", str(tmp_path / "run"), "--alpha0", "0.1",
                    "--lambda", "0.02"])
         assert rc == 2
+        assert "missing required option --dim" in caplog.text
+
+    def test_bad_k_list_is_input_error(self, tmp_path, raw_file, capsys, caplog):
+        loo = make_loo_dir(tmp_path, raw_file)
+        rc = main(["train", "--split-dir", str(loo), "--protocol", "loo",
+                   "--out", str(tmp_path / "run"), *TRAIN_FLAGS, "--ndcg-ks", "x"])
+        assert rc == 2
+        assert "bad k list" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_hp_flags_cover_every_field(self):
+        train_parser = cli.make_parser().parse_args(["train"]).parser
+        actions = {a.dest: a for a in train_parser._actions}
+        for f in dataclasses.fields(Hyperparameters):
+            if f.name == "seed":
+                continue
+            action = actions[f.name]
+            assert cli._flag(f.name) in action.option_strings
+            if f.default not in (dataclasses.MISSING, None):
+                assert f"(default {f.default})" in action.help
+        assert "--lambda" in actions["lambda_"].option_strings
 
     def test_missing_regularization_is_input_error(self, tmp_path, raw_file):
         loo = make_loo_dir(tmp_path, raw_file)
@@ -225,6 +247,59 @@ class TestConfigFile:
         rc = main(["train", "--split-dir", str(loo), "--protocol", "loo",
                    "--out", str(tmp_path / "run"), "--config", str(cfg)])
         assert rc == 2
+
+    def test_value_outside_choices(self, tmp_path, raw_file):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("protocol = strongen\n")
+        out = tmp_path / "split"
+        rc = main(["split", "--data", str(raw_file), "--out", str(out),
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("train", "iteration = 1\n"),
+        ("evaluate", "model = x.bin\n"),
+    ])
+    def test_unknown_or_multi_value_key(self, tmp_path, raw_file, command, text):
+        loo = make_loo_dir(tmp_path, raw_file)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        args = [command, "--split-dir", str(loo), "--protocol", "loo",
+                "--out", str(out), "--config", str(cfg)]
+        if command == "train":
+            args += TRAIN_FLAGS
+        assert main(args) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, flags, outputs", [
+        ("split", "allow_seen_negatives = true\n", ["--allow-seen-negatives"],
+         ["test_negatives.csv"]),
+        ("train", "solver = block\nblock-size = 2\n",
+         ["--solver", "block", "--block-size", "2"],
+         ["model-seed1.bin", "train-seed1.jsonl"]),
+        ("train", "log_validation = false\n", ["--no-log-validation"],
+         ["train-seed1.jsonl"]),
+    ])
+    def test_config_acts_like_flag(self, tmp_path, raw_file, command, text,
+                                   flags, outputs):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        if command == "split":
+            base = ["split", "--data", str(raw_file), "--protocol", "loo",
+                    "--negatives", "4"]
+        else:
+            base = ["train", "--split-dir", str(make_strong_gen_dir(tmp_path, raw_file)),
+                    "--protocol", "strong-gen", *TRAIN_FLAGS]
+        runs = {}
+        for name, extra in (("config", ["--config", str(cfg)]), ("flag", flags),
+                            ("neither", [])):
+            out = tmp_path / name
+            assert main([*base, "--out", str(out), *extra]) == 0
+            runs[name] = [(out / f).read_bytes() for f in outputs]
+        assert runs["config"] == runs["flag"]
+        assert runs["config"] != runs["neither"]
 
     def test_bad_config_value(self, tmp_path, raw_file):
         loo = make_loo_dir(tmp_path, raw_file)
@@ -333,6 +408,37 @@ class TestEvaluateCommand:
         assert rc == 2
 
 
+class TestBrokenSplitDir:
+    @pytest.mark.parametrize("name", LOO_FILES)
+    def test_empty_loo_file(self, tmp_path, raw_file, caplog, name):
+        loo = make_loo_dir(tmp_path, raw_file)
+        (loo / name).write_text("")
+        rc = main(["evaluate", "--split-dir", str(loo), "--protocol", "loo",
+                   "--model", str(tmp_path / "model.bin")])
+        assert rc == 2
+        assert f"{name}: no rows" in caplog.text
+
+    @pytest.mark.parametrize("name", ["train.csv", "test_fold_in.csv", "test_target.csv"])
+    def test_empty_strong_gen_file(self, tmp_path, raw_file, caplog, name):
+        sg = make_strong_gen_dir(tmp_path, raw_file)
+        (sg / name).write_text("")
+        rc = main(["train", "--split-dir", str(sg), "--protocol", "strong-gen",
+                   "--out", str(tmp_path / "run"), *TRAIN_FLAGS])
+        assert rc == 2
+        assert f"{name}: no rows" in caplog.text
+
+    @pytest.mark.parametrize("name", ["test_holdout.csv", "test_negatives.csv"])
+    def test_duplicate_user_row(self, tmp_path, raw_file, caplog, name):
+        loo = make_loo_dir(tmp_path, raw_file)
+        lines = (loo / name).read_text().splitlines()
+        (loo / name).write_text("\n".join(lines + [lines[2]]) + "\n")
+        rc = main(["train", "--split-dir", str(loo), "--protocol", "loo",
+                   "--out", str(tmp_path / "run"), *TRAIN_FLAGS])
+        assert rc == 2
+        user = lines[2].split(",")[0]
+        assert f"{name}: user {user} has more than one row" in caplog.text
+
+
 SWEEP_BASE = ["--dim", "2", "--iterations", "2", "--seed", "1",
               "--recall-ks", "3", "--ndcg-ks", "4"]
 
@@ -390,6 +496,17 @@ class TestSweepCommand:
                    "--lambda-grid", "0.02", "--lambda-star-grid", "0.01",
                    *SWEEP_BASE])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--alpha0", "1"],
+        ["sweep", "--lambda", "1"],
+        ["sweep", "--lambda-star", "1"],
+        ["evaluate", "--sigma-star", "0.1"],
+    ])
+    def test_ignored_knobs_are_gone(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_unknown_selection_metric(self, tmp_path, raw_file):
         sg = make_strong_gen_dir(tmp_path, raw_file)

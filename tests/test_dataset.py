@@ -259,7 +259,7 @@ class TestLeaveOneOutSplit:
         split = leave_one_out_split(data, n_negatives=4, seed=1)
         for u in range(12):
             held = int(split.holdout[u])
-            assert not split.train.has_pair(u, held)
+            assert held not in split.train.items_of(u)
             assert split.train.items_of(u).size == data.items_of(u).size - 1
 
     def test_negatives_exclude_seen_by_default(self, rng):

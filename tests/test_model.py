@@ -11,8 +11,6 @@ from ials import (
     load_model,
     rank_items,
     save_model,
-    score,
-    top_n,
 )
 
 import oracles
@@ -63,17 +61,6 @@ class TestFactorModel:
 
 
 class TestScoring:
-    def test_score_matches_dots(self, rng):
-        H = rng.standard_normal((8, 4))
-        w = rng.standard_normal(4)
-        s = score(w, H)
-        for i in range(8):
-            assert s[i] == pytest.approx(float(w @ H[i]), rel=1e-12)
-
-    def test_score_dim_check(self):
-        with pytest.raises(DimensionMismatch):
-            score(np.zeros(3), np.zeros((5, 4)))
-
     def test_rank_items_tie_rule(self):
         scores = np.array([1.0, 3.0, 3.0, 0.5, 3.0])
         ranked = rank_items(scores)
@@ -99,12 +86,12 @@ class TestScoring:
             assert sorted(ranked.items.tolist()) == list(range(n))
             assert ranked.items.tolist() == oracles.rank_by_score(scores)
 
-    def test_top_n_matches_oracle_with_exclusion(self, rng):
+    def test_rank_items_top_k_matches_oracle_with_exclusion(self, rng):
         for _ in range(20):
             H = rng.standard_normal((12, 3))
             w = rng.standard_normal(3)
             exclude = rng.choice(12, size=4, replace=False)
-            got = top_n(w, H, 5, exclude=exclude)
+            got = rank_items(H @ w, exclude=exclude, k=5)
             expected = oracles.rank_by_score(H @ w, exclude=exclude)[:5]
             assert got.items.tolist() == expected
 

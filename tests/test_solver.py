@@ -101,6 +101,21 @@ class TestRegularizationWeight:
         # base = count + alpha0 * N = 4, nu = 0.5 -> factor 2
         assert regularization_weight(2, 20, 0.1, 0.5, 0.01) == pytest.approx(0.02, rel=1e-12)
 
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 0.77, 1.0])
+    def test_vector_form_matches_scalar_calls(self, nu):
+        counts = np.array([0, 1, 2, 3, 17, 250, 4096])
+        got = regularization_weight(counts, 37, 0.3, nu, 0.02)
+        assert got.shape == counts.shape
+        for c, value in zip(counts.tolist(), got):
+            # the library's scalar call and the plain float formula
+            for scalar in (regularization_weight(c, 37, 0.3, nu, 0.02),
+                           0.02 * float(c + 0.3 * 37) ** nu):
+                if nu in (0.0, 1.0):
+                    assert value == scalar
+                else:
+                    # array pow may round differently from scalar pow in the last bit
+                    assert value == pytest.approx(scalar, rel=4 * np.finfo(float).eps, abs=0)
+
 
 class TestEffectiveLambda:
     def test_identity_when_exponents_match(self, rng):
