@@ -10,11 +10,13 @@ benchmark splits are consumed bit-exactly.
 from __future__ import annotations
 
 import gzip
+import io
 import logging
 import math
 import os
-from array import array
+import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +206,12 @@ class LeaveOneOutSplit:
 
 _COLUMN_NAMES = {"user", "item", "rating", "time", "skip"}
 
+# Characters of text handed to numpy's reader at once, and fields formatted
+# per call when writing: large files are streamed in pieces of this size
+# instead of being held as Python objects all at once.
+_BLOCK_CHARS = 1 << 18
+_BLOCK_FIELDS = 1 << 17
+
 
 def _open_text(path):
     if str(path).endswith(".gz"):
@@ -222,6 +230,109 @@ def _parse_columns(columns: str) -> dict[str, int]:
     return pos
 
 
+def _text_blocks(fh, path):
+    """Line 1 of fh, then the rest in pieces of whole lines.
+
+    The pieces hold about _BLOCK_CHARS characters each, so the arrays
+    built from one piece stay small whatever the file size.
+    """
+    try:
+        yield fh.readline()
+        while block := fh.read(_BLOCK_CHARS):
+            yield block + fh.readline()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _loadtxt(text: str, dtype, delimiter: str, ndmin: int) -> np.ndarray:
+    """numpy's C reader on text: fields taken verbatim, empty lines skipped."""
+    with warnings.catch_warnings():
+        # it warns when the text holds only empty lines
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=delimiter,
+                          comments=None, quotechar=None, ndmin=ndmin)
+
+
+def _interaction_table(block: str, pos: dict[str, int], delimiter: str,
+                       min_rating: float | None, timed: bool):
+    """Kept rows of a block of raw lines that all have the same number of fields.
+
+    Returns what _interaction_lines returns for the block.  Raises
+    ValueError for any other block: ragged rows, a row that
+    _interaction_lines would reject, or a multi-character delimiter,
+    which numpy's reader lacks.  numpy's float parser is stricter than
+    float(), so a number it rejects only sends the block down the
+    line-by-line path.
+    """
+    if len(delimiter) > 1:
+        raise ValueError("multi-character delimiter")
+    width = block.lstrip("\n").partition("\n")[0].count(delimiter) + 1
+    if width <= max(pos["user"], pos["item"]):
+        raise ValueError("short rows")
+    rpos = pos.get("rating")
+    if min_rating is not None and (rpos is None or rpos >= width):
+        raise ValueError("no rating field")
+    numeric = {rpos, pos["time"] if timed else None}
+    table = _loadtxt(block, [(f"f{j}", np.float64 if j in numeric else object)
+                             for j in range(width)], delimiter, 1)
+    keep = np.ones(len(table), dtype=bool)
+    if min_rating is not None:
+        keep = ~(table[f"f{rpos}"] < min_rating)
+    times = np.empty(0)
+    if timed and pos["time"] < width:
+        times = table[f"f{pos['time']}"][keep]
+    elif timed and keep.any():
+        timed = False
+    return (table[f"f{pos['user']}"][keep].tolist(), table[f"f{pos['item']}"][keep].tolist(),
+            times, timed)
+
+
+def _interaction_lines(block: str, lineno: int, path, pos: dict[str, int],
+                       delimiter: str, min_rating: float | None, timed: bool):
+    """Parse a block of raw lines one at a time; it starts at file line `lineno`.
+
+    Returns (user keys, item keys, times, timed) of the kept rows, in
+    file order; blank lines and rows under min_rating are not kept.
+    timed says whether every kept row so far has had a time field; times
+    are read, and checked, only up to the first kept row without one.
+
+    Raises ParseError naming the first bad line.
+    """
+    need = max(pos["user"], pos["item"]) + 1
+    rpos = pos.get("rating")
+    users, items, times = [], [], []
+    for lineno, line in enumerate(block.split("\n"), start=lineno):
+        if not line:
+            continue
+        fields = line.split(delimiter)
+        try:
+            if len(fields) < need:
+                raise ValueError(f"expected at least {need} fields, got {len(fields)}")
+            if min_rating is not None:
+                if rpos is None or rpos >= len(fields):
+                    raise ValueError("rating threshold set but no rating field")
+                if float(fields[rpos]) < min_rating:
+                    continue
+            elif rpos is not None and rpos < len(fields):
+                float(fields[rpos])  # validate when present
+            if timed and pos["time"] < len(fields):
+                times.append(float(fields[pos["time"]]))
+            else:
+                timed = False
+        except ValueError as exc:
+            raise ParseError(f"{path} line {lineno}: {exc}") from exc
+        users.append(fields[pos["user"]])
+        items.append(fields[pos["item"]])
+    return users, items, np.array(times, dtype=np.float64), timed
+
+
+def _codes(index: dict[str, int], keys: list[str]) -> np.ndarray:
+    """Contiguous indices of keys; unseen keys are numbered in order of appearance."""
+    for key in dict.fromkeys(keys):
+        index.setdefault(key, len(index))
+    return np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
 def load_interactions(path, *, delimiter: str | None = None,
                       columns: str = "user,item,rating,time",
                       min_rating: float | None = None,
@@ -232,7 +343,8 @@ def load_interactions(path, *, delimiter: str | None = None,
     fields; rating and timestamp fields are used when present in the
     column list and the row.  External ids are mapped to contiguous
     0-based indices in first-appearance order and kept on the result
-    (user_ids/item_ids).  Duplicate pairs are collapsed.
+    (user_ids/item_ids).  Duplicate pairs are collapsed.  Timestamps are
+    kept only when every kept row has one.
 
     Args:
         path: csv/tsv file, optionally gzip-compressed.
@@ -252,15 +364,15 @@ def load_interactions(path, *, delimiter: str | None = None,
     if delimiter is None:
         base = str(path)[:-3] if str(path).endswith(".gz") else str(path)
         delimiter = "\t" if base.endswith(".tsv") else ","
+    if not delimiter or "\n" in delimiter or "\r" in delimiter:
+        raise InputError(f"delimiter must be non-empty and on one line, got {delimiter!r}")
     pos = _parse_columns(columns)
-    need = max(pos["user"], pos["item"]) + 1
 
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    users = array("q")
-    items = array("q")
-    times = array("d")
-    have_time = "time" in pos
+    users, items, times = [], [], []
+    timed = "time" in pos
+    lineno = 1
 
     try:
         fh = _open_text(path)
@@ -268,54 +380,37 @@ def load_interactions(path, *, delimiter: str | None = None,
         raise InputError(f"cannot open {path}: {exc}") from exc
 
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split(delimiter)
-            if skip_header and lineno == 1:
+        for block in _text_blocks(fh, path):
+            start = lineno
+            lineno += block.count("\n") + (not block.endswith("\n"))
+            if start == 1 and skip_header:
                 continue
             try:
-                if len(fields) < need:
-                    raise ValueError(f"expected at least {need} fields, got {len(fields)}")
-                if min_rating is not None or "rating" in pos:
-                    rpos = pos.get("rating")
-                    if min_rating is not None:
-                        if rpos is None or rpos >= len(fields):
-                            raise ValueError("rating threshold set but no rating field")
-                        if float(fields[rpos]) < min_rating:
-                            continue
-                    elif rpos is not None and rpos < len(fields):
-                        float(fields[rpos])  # validate when present
-                ts = 0.0
-                has_ts = False
-                if have_time and pos["time"] < len(fields):
-                    ts = float(fields[pos["time"]])
-                    has_ts = True
-                u_key = fields[pos["user"]]
-                i_key = fields[pos["item"]]
-            except ValueError as exc:
-                if lineno == 1 and skip_header is None:
-                    log.debug("treating first line of %s as a header", path)
-                    continue
-                raise ParseError(f"{path} line {lineno}: {exc}") from exc
-            users.append(user_index.setdefault(u_key, len(user_index)))
-            items.append(item_index.setdefault(i_key, len(item_index)))
-            if has_ts:
-                times.append(ts)
-            elif have_time:
-                times.append(0.0)
-                have_time = False  # ragged rows: drop timestamps entirely
+                try:
+                    rows = _interaction_table(block, pos, delimiter, min_rating, timed)
+                except ValueError:
+                    rows = _interaction_lines(block, start, path, pos,
+                                              delimiter, min_rating, timed)
+            except ParseError:
+                if start > 1 or skip_header is not None:
+                    raise
+                log.debug("treating first line of %s as a header", path)
+                continue
+            u_keys, i_keys, block_times, timed = rows
+            users.append(_codes(user_index, u_keys))
+            items.append(_codes(item_index, i_keys))
+            times.append(block_times)
 
-    if not users:
+    users = np.concatenate(users) if users else np.empty(0, dtype=np.int64)
+    if not users.size:
         raise EmptyDataset(f"no interactions loaded from {path}")
 
     return InteractionSet.from_pairs(
-        np.frombuffer(users, dtype=np.int64),
-        np.frombuffer(items, dtype=np.int64),
+        users,
+        np.concatenate(items),
         num_users=len(user_index),
         num_items=len(item_index),
-        timestamps=np.frombuffer(times, dtype=np.float64) if have_time and len(times) else None,
+        timestamps=np.concatenate(times) if timed else None,
         user_ids=list(user_index),
         item_ids=list(item_index),
     )
@@ -473,43 +568,107 @@ STRONG_GEN_FILES = ("train.csv", "validation_fold_in.csv", "validation_target.cs
 LOO_FILES = ("train.csv", "test_holdout.csv", "test_negatives.csv")
 
 
-def _write_pairs(path, users, items):
+def _write_table(path, table: np.ndarray) -> None:
+    """Write the rows of a 2-d table as comma-separated lines."""
+    rows = max(1, _BLOCK_FIELDS // table.shape[1])
+    line = ",".join(["{}"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for u, i in zip(users, items):
-            fh.write(f"{u},{i}\n")
+        for start in range(0, len(table), rows):
+            block = table[start:start + rows]
+            fh.write((line * len(block)).format(*block.ravel().tolist()))
 
 
 def _write_holdout_users(path, holdout_users, part):
-    with open(path, "w", encoding="utf-8") as fh:
-        for hu in holdout_users:
-            for i in getattr(hu, part):
-                fh.write(f"{hu.user},{i}\n")
+    items = [getattr(hu, part) for hu in holdout_users]
+    users = [np.full(row.size, hu.user) for hu, row in zip(holdout_users, items)]
+    none = np.empty(0, dtype=np.int64)
+    _write_table(path, np.column_stack((np.concatenate([none, *users]),
+                                        np.concatenate([none, *items]))))
 
 
-def _read_int_rows(path, min_fields=2, may_be_empty=False):
-    """Integer CSV rows; the first line is skipped if it does not parse.
+def _int_fields(line: str) -> list[int] | None:
+    try:
+        return [int(f) for f in line.replace("\t", ",").split(",")]
+    except ValueError:
+        return None
 
-    Raises InputError when the file has no rows, unless may_be_empty.
+
+def _int_block(block: str) -> np.ndarray:
+    """The rows of a block of split-file lines as a 2-d int64 array.
+
+    numpy's reader takes almost every block.  A block it rejects is read
+    again one line at a time with int(), skipping lines that are blank
+    after strip(): whitespace-only lines and number forms numpy lacks
+    (such as "1_000") stay legal.  Raises ValueError or OverflowError
+    for a bad or ragged row.
     """
-    rows = []
+    try:
+        return _loadtxt(block.replace("\t", ","), np.int64, ",", 2)
+    except ValueError:
+        rows = [_int_fields(line) for line in block.split("\n") if line.strip()]
+        if None in rows:
+            raise
+        return np.array(rows, dtype=np.int64, ndmin=2)
+
+
+def _parse_error(path, width: int | None, exc=None) -> ParseError:
+    """ParseError naming the first line of a split file that is not a row
+    of `width` non-negative integers (width None: as many as the first
+    row, at least 2)."""
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            line = line.rstrip("\n")
+            if not line.strip():
                 continue
-            fields = line.replace("\t", ",").split(",")
-            try:
-                row = [int(f) for f in fields]
-            except ValueError as exc:
+            row = _int_fields(line)
+            if row is None:
                 if lineno == 1:
-                    continue
-                raise ParseError(f"{path} line {lineno}: {exc}") from exc
-            if len(row) < min_fields:
-                raise ParseError(f"{path} line {lineno}: expected >= {min_fields} fields")
-            rows.append(row)
-    if not rows and not may_be_empty:
+                    continue  # header
+                reason = f"expected integers separated by commas or tabs, got {line!r}"
+            elif width is None and len(row) < 2:
+                reason = f"expected at least 2 fields, got {len(row)}"
+            elif len(row) != (width := width or len(row)):
+                reason = f"expected {width} fields, got {len(row)}"
+            elif min(row) < 0:
+                reason = "negative id"
+            else:
+                continue
+            return ParseError(f"{path} line {lineno}: {reason}")
+    return ParseError(f"{path}: {exc}")
+
+
+def _read_int_table(path, width: int | None = None, may_be_empty: bool = False) -> np.ndarray:
+    """Rows of a split file as an (n, width) int64 array.
+
+    Fields are non-negative integers separated by commas or tabs; blank
+    lines are skipped and a first line that does not parse is a header.
+    Every row has `width` fields; width None takes the first row's, which
+    must be at least 2.
+
+    Raises:
+        ParseError: a bad row, naming the file and its 1-based line.
+        InputError: the file has no rows, unless may_be_empty.
+    """
+    parts = []
+    with _open_text(path) as fh:
+        for n, block in enumerate(_text_blocks(fh, path)):
+            if n == 0 and block.strip() and _int_fields(block) is None:
+                continue  # header
+            try:
+                parts.append(_int_block(block))
+            except (ValueError, OverflowError) as exc:
+                raise _parse_error(path, width, exc) from None
+    parts = [p for p in parts if p.size]
+    if not parts:
+        if may_be_empty:
+            return np.empty((0, width or 2), dtype=np.int64)
         raise InputError(f"{path}: no rows")
-    return rows
+    if len({p.shape[1] for p in parts}) > 1:
+        raise _parse_error(path, width)
+    table = np.concatenate(parts)
+    if table.shape[1] != (width or max(table.shape[1], 2)) or (table < 0).any():
+        raise _parse_error(path, width)
+    return table
 
 
 def write_id_maps(out_dir, data: InteractionSet) -> None:
@@ -517,16 +676,15 @@ def write_id_maps(out_dir, data: InteractionSet) -> None:
     for name, ids in (("user_map.csv", data.user_ids), ("item_map.csv", data.item_ids)):
         if ids is None:
             continue
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            for idx, ext in enumerate(ids):
-                fh.write(f"{ext},{idx}\n")
+        _write_table(os.path.join(out_dir, name),
+                     np.column_stack((np.asarray(ids, dtype=object), np.arange(len(ids)))))
 
 
 def save_strong_generalization(out_dir, validation: StrongGeneralizationSplit,
                                test: StrongGeneralizationSplit) -> None:
     os.makedirs(out_dir, exist_ok=True)
     out = Path(out_dir)
-    _write_pairs(out / "train.csv", *validation.train.pairs())
+    _write_table(out / "train.csv", np.column_stack(validation.train.pairs()))
     _write_holdout_users(out / "validation_fold_in.csv", validation.users, "fold_in")
     _write_holdout_users(out / "validation_target.csv", validation.users, "target")
     _write_holdout_users(out / "test_fold_in.csv", test.users, "fold_in")
@@ -536,18 +694,15 @@ def save_strong_generalization(out_dir, validation: StrongGeneralizationSplit,
 def save_leave_one_out(out_dir, split: LeaveOneOutSplit) -> None:
     os.makedirs(out_dir, exist_ok=True)
     out = Path(out_dir)
-    _write_pairs(out / "train.csv", *split.train.pairs())
-    _write_pairs(out / "test_holdout.csv", split.users, split.holdout)
-    with open(out / "test_negatives.csv", "w", encoding="utf-8") as fh:
-        for u, negs in zip(split.users, split.negatives):
-            fh.write(",".join([str(u)] + [str(n) for n in negs]) + "\n")
+    _write_table(out / "train.csv", np.column_stack(split.train.pairs()))
+    _write_table(out / "test_holdout.csv", np.column_stack((split.users, split.holdout)))
+    _write_table(out / "test_negatives.csv", np.column_stack((split.users, split.negatives)))
 
 
-def _group_eval_users(rows) -> dict[int, list[int]]:
-    grouped: dict[int, list[int]] = {}
-    for u, i in rows:
-        grouped.setdefault(u, []).append(i)
-    return grouped
+def _by_user(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(users, items) columns of (user, item) rows sorted by user, then item."""
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    return rows[order, 0], rows[order, 1]
 
 
 def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | None,
@@ -559,48 +714,40 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
     splits evaluate exactly as distributed.
     """
     d = Path(split_dir)
-    train_rows = _read_int_rows(d / "train.csv")
+    train_rows = _read_int_table(d / "train.csv", 2)
     parts = {}
     for part in ("validation", "test"):
         fi, tg = d / f"{part}_fold_in.csv", d / f"{part}_target.csv"
         if fi.exists() and tg.exists():
             # no validation users leave the validation files empty
             empty_ok = part == "validation"
-            parts[part] = (_read_int_rows(fi, may_be_empty=empty_ok),
-                           _read_int_rows(tg, may_be_empty=empty_ok))
+            parts[part] = (_read_int_table(fi, 2, may_be_empty=empty_ok),
+                           _read_int_table(tg, 2, may_be_empty=empty_ok))
         elif part == "test":
             raise InputError(f"{d}: missing {part}_fold_in.csv / {part}_target.csv")
 
-    max_item = max((r[1] for r in train_rows), default=-1)
-    max_user = max((r[0] for r in train_rows), default=-1)
-    for fi_rows, tg_rows in parts.values():
-        for rows in (fi_rows, tg_rows):
-            for u, i in rows:
-                max_item = max(max_item, i)
-                max_user = max(max_user, u)
+    tables = [train_rows, *chain.from_iterable(parts.values())]
+    max_user = max(int(t[:, 0].max(initial=-1)) for t in tables)
+    max_item = max(int(t[:, 1].max(initial=-1)) for t in tables)
 
     train = InteractionSet.from_pairs(
-        np.array([r[0] for r in train_rows], dtype=np.int64),
-        np.array([r[1] for r in train_rows], dtype=np.int64),
+        train_rows[:, 0], train_rows[:, 1],
         num_users=max_user + 1, num_items=max_item + 1,
     )
 
     def build(part) -> StrongGeneralizationSplit:
-        fi_rows, tg_rows = parts[part]
-        fold_in = _group_eval_users(fi_rows)
-        target = _group_eval_users(tg_rows)
-        users = []
-        for u in sorted(set(fold_in) | set(target)):
-            tg = target.get(u)
-            if not tg:
-                log.warning("%s: user %d has no target items, skipping", split_dir, u)
-                continue
-            users.append(HoldoutUser(
-                user=u,
-                fold_in=np.array(sorted(fold_in.get(u, [])), dtype=np.int64),
-                target=np.array(sorted(tg), dtype=np.int64),
-            ))
-        return StrongGeneralizationSplit(train=train, users=users)
+        (fi_users, fi_items), (tg_users, tg_items) = map(_by_user, parts[part])
+        users = np.union1d(fi_users, tg_users)
+        has_target = np.isin(users, tg_users)
+        for u in users[~has_target]:
+            log.warning("%s: user %d has no target items, skipping", split_dir, u)
+        users = users[has_target]
+        fi_bounds = np.searchsorted(fi_users, users), np.searchsorted(fi_users, users, "right")
+        tg_bounds = np.searchsorted(tg_users, users), np.searchsorted(tg_users, users, "right")
+        return StrongGeneralizationSplit(train=train, users=[
+            HoldoutUser(user=int(u), fold_in=fi_items[fa:fb], target=tg_items[ta:tb])
+            for u, fa, fb, ta, tb in zip(users, *fi_bounds, *tg_bounds)
+        ])
 
     validation = build("validation") if "validation" in parts else None
     return validation, build("test")
@@ -609,36 +756,25 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
 def load_leave_one_out(split_dir) -> LeaveOneOutSplit:
     """Load a leave-one-out split directory verbatim."""
     d = Path(split_dir)
-    train_rows = _read_int_rows(d / "train.csv")
-    holdout_rows = _read_int_rows(d / "test_holdout.csv")
-    neg_rows = _read_int_rows(d / "test_negatives.csv")
+    train_rows = _read_int_table(d / "train.csv", 2)
+    holdout_rows = _read_int_table(d / "test_holdout.csv", 2)
+    neg_rows = _read_int_table(d / "test_negatives.csv")
 
     for name, rows in (("test_holdout.csv", holdout_rows), ("test_negatives.csv", neg_rows)):
-        users, counts = np.unique([r[0] for r in rows], return_counts=True)
+        users, counts = np.unique(rows[:, 0], return_counts=True)
         if (counts > 1).any():
             raise InputError(f"{d / name}: user {users[counts > 1][0]} has more than one row")
-    n_negs = {len(r) - 1 for r in neg_rows}
-    if len(n_negs) > 1:
-        raise InputError(f"{d}/test_negatives.csv: inconsistent row widths {sorted(n_negs)}")
+    by_user = np.argsort(holdout_rows[:, 0])
+    users, holdout = holdout_rows[by_user, 0], holdout_rows[by_user, 1]
+    by_user = np.argsort(neg_rows[:, 0])
+    if not np.array_equal(users, neg_rows[by_user, 0]):
+        raise InputError(f"{d}: holdout and negatives cover different users")
+    negatives = neg_rows[by_user, 1:]
 
-    max_user = max(r[0] for r in train_rows + holdout_rows + neg_rows)
-    max_item = max(
-        max(r[1] for r in train_rows),
-        max(r[1] for r in holdout_rows),
-        max(max(r[1:]) for r in neg_rows),
-    )
-
+    max_user = max(train_rows[:, 0].max(), users.max())
+    max_item = max(train_rows[:, 1].max(), holdout.max(), negatives.max())
     train = InteractionSet.from_pairs(
-        np.array([r[0] for r in train_rows], dtype=np.int64),
-        np.array([r[1] for r in train_rows], dtype=np.int64),
+        train_rows[:, 0], train_rows[:, 1],
         num_users=max_user + 1, num_items=max_item + 1,
     )
-    holdout_map = {u: i for u, i in holdout_rows}
-    neg_map = {r[0]: r[1:] for r in neg_rows}
-    if set(holdout_map) != set(neg_map):
-        raise InputError(f"{d}: holdout and negatives cover different users")
-
-    users = np.array(sorted(holdout_map), dtype=np.int64)
-    holdout = np.array([holdout_map[u] for u in users], dtype=np.int64)
-    negatives = np.array([neg_map[u] for u in users], dtype=np.int64)
     return LeaveOneOutSplit(train=train, users=users, holdout=holdout, negatives=negatives)

@@ -13,7 +13,8 @@ import importlib
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import IalsError
 
@@ -54,6 +55,21 @@ def gramian(M: np.ndarray) -> np.ndarray:
     return (G + G.T) * 0.5
 
 
+def cholesky(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric matrix (LAPACK dpotrf).
+
+    Only the lower triangle of A is read, and only the lower triangle of
+    the result is meaningful.
+
+    Raises:
+        LinAlgError: A is not positive definite.
+    """
+    L, info = dpotrf(A, lower=1, clean=0)
+    if info:
+        raise LinAlgError(f"leading minor {info} is not positive definite")
+    return L
+
+
 def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
@@ -67,20 +83,21 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     d = A.shape[0]
-    jitter = JITTER_SCALE * np.trace(A) / d
 
     for attempt in range(JITTER_RETRIES + 1):
         if attempt == 0:
             Aj = A
         else:
+            if attempt == 1:
+                jitter = JITTER_SCALE * np.trace(A) / d
             Aj = A.copy()
             Aj.flat[:: d + 1] += jitter
             jitter *= 10.0
         try:
-            L = cholesky(Aj, lower=True, check_finite=False)
+            L = cholesky(Aj)
         except LinAlgError:
             continue
-        return cho_solve((L, True), b, check_finite=False)
+        return dpotrs(L, b, lower=1)[0]
 
     raise NotPositiveDefinite(
         f"{d}x{d} system is not positive definite after {JITTER_RETRIES} "

@@ -142,29 +142,29 @@ def effective_lambda(lambda_star: float, nu: float, nu_star: float,
         lambda_star, nu, nu_star, data.user_counts, data.item_counts, alpha0)
 
 
-def solve_entity(history: np.ndarray, G: np.ndarray, alpha0: float,
+def solve_entity(history: np.ndarray, alpha_G: np.ndarray,
                  lambda_entity: float) -> np.ndarray:
     """Closed-form embedding for one entity given the fixed side.
 
     Args:
         history: (n, d) embedding rows of the entity's observed partners.
-        G: (d, d) Gramian of the FULL fixed-side matrix.  The implicit
-            term covers every pair, so observed rows contribute weight
-            1 + alpha0 in total.
-        alpha0: implicit-term weight.
+        alpha_G: (d, d) alpha0 * G, where G is the Gramian of the FULL
+            fixed-side matrix.  The implicit term covers every pair, so
+            observed rows contribute weight 1 + alpha0 in total.  A
+            half-step forms it once for all its entities.
         lambda_entity: this entity's L2 weight.
 
     Returns:
         argmin_x sum_history (x.h - 1)^2 + alpha0*x'Gx + lambda_entity*|x|^2.
     """
-    d = G.shape[0]
+    d = alpha_G.shape[0]
     history = np.asarray(history, dtype=np.float64).reshape(-1, d)
     if history.shape[0] == 0:
         return np.zeros(d)  # b = 0 and A is PD, so the minimizer is 0
-    A = history.T @ history + alpha0 * G
-    A[np.diag_indices_from(A)] += lambda_entity
-    b = history.sum(axis=0)
-    return solve_spd(A, b)
+    A = history.T @ history
+    A += alpha_G
+    A.flat[:: d + 1] += lambda_entity
+    return solve_spd(A, history.sum(axis=0))
 
 
 def solve_entity_block(current: np.ndarray, history: np.ndarray, G: np.ndarray,
@@ -187,7 +187,7 @@ def solve_entity_block(current: np.ndarray, history: np.ndarray, G: np.ndarray,
     if x.shape != (d,):
         raise InputError(f"current has shape {x.shape}, expected ({d},)")
     if block_size >= d:
-        return solve_entity(history, G, alpha0, lambda_entity)
+        return solve_entity(history, alpha0 * G, lambda_entity)
     r = 1.0 - history @ x
     g = alpha0 * (G @ x)
     for start in range(0, d, block_size):
@@ -210,6 +210,7 @@ def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
     never reaches a saved model.
     """
     G = gramian(fixed)
+    alpha_G = hp.alpha0 * G
     lams = regularization_weight(np.diff(ptr), fixed.shape[0], hp.alpha0, hp.nu, hp.lambda_)
     with blas_threads(1):
         for e in range(factors.shape[0]):
@@ -218,7 +219,7 @@ def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
                 factors[e] = solve_entity_block(factors[e], rows, G,
                                                 hp.alpha0, lams[e], hp.block_size)
             else:
-                factors[e] = solve_entity(rows, G, hp.alpha0, lams[e])
+                factors[e] = solve_entity(rows, alpha_G, lams[e])
     bad = np.count_nonzero(~np.isfinite(factors))
     if bad:
         raise IalsError(f"{side} half-step produced {bad} non-finite factor entries")
@@ -293,7 +294,7 @@ def project_user(history_items, H: np.ndarray, G_H: np.ndarray,
             for _ in range(hp.projection_repeats):
                 x = solve_entity_block(x, rows, G_H, hp.alpha0, lam, hp.block_size)
             return x
-        return solve_entity(rows, G_H, hp.alpha0, lam)
+        return solve_entity(rows, hp.alpha0 * G_H, lam)
 
 
 def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None,

@@ -1,17 +1,24 @@
 """Brute-force reference implementations the tests compare against.
 
 Everything here trades efficiency for obviousness: dense matrices,
-explicit loops over every user-item pair, rank-by-rank metric evaluation.
-None of it imports solver/metrics internals beyond plain data types
-and the Cholesky solve primitive.
+explicit loops over every user-item pair, rank-by-rank metric evaluation,
+text files read and written one line at a time.  None of it imports
+solver/metrics internals beyond plain data types and the Cholesky solve
+primitive.
 """
 
 from __future__ import annotations
 
+import gzip
 import math
+import os
+from array import array
+from pathlib import Path
 
 import numpy as np
+from scipy.linalg import cho_solve, cholesky
 
+from ials.dataset import EmptyDataset, InteractionSet, ParseError
 from ials.errors import InputError
 from ials.linalg import solve_spd
 
@@ -137,3 +144,131 @@ def random_interactions(rng, n_users, n_items, min_deg=1, max_deg=None):
             users.append(u)
             items.append(int(i))
     return users, items
+
+
+def exact_half_step(factors, fixed, ptr, partners, alpha0, lams):
+    """Exact half-step one entity at a time, as first written: alpha0 * G
+    and the diagonal index set per entity, scipy's Cholesky and cho_solve.
+    Returns the new factors; the inputs are not modified."""
+    fixed = np.ascontiguousarray(fixed, dtype=np.float64)
+    G = fixed.T @ fixed
+    G = (G + G.T) * 0.5
+    out = np.array(factors, dtype=np.float64, copy=True)
+    for e in range(out.shape[0]):
+        history = fixed[partners[ptr[e]:ptr[e + 1]]]
+        if history.shape[0] == 0:
+            out[e] = 0.0
+            continue
+        A = history.T @ history + alpha0 * G
+        A[np.diag_indices_from(A)] += lams[e]
+        L = cholesky(A, lower=True, check_finite=False)
+        out[e] = cho_solve((L, True), history.sum(axis=0), check_finite=False)
+    return out
+
+
+def _open_text(path):
+    if str(path).endswith(".gz"):
+        return gzip.open(path, "rt", encoding="utf-8")
+    return open(path, "r", encoding="utf-8")
+
+
+def load_interactions_lines(path, *, delimiter=None, columns="user,item,rating,time",
+                            min_rating=None, skip_header=None) -> InteractionSet:
+    """Raw interaction file parsed one line at a time with str.split and
+    float(): the reference for ials.load_interactions (same arguments,
+    same ParseError line numbers)."""
+    if delimiter is None:
+        base = str(path)[:-3] if str(path).endswith(".gz") else str(path)
+        delimiter = "\t" if base.endswith(".tsv") else ","
+    pos = {name: idx for idx, name in enumerate(c.strip() for c in columns.split(","))
+           if name != "skip"}
+    need = max(pos["user"], pos["item"]) + 1
+    user_index, item_index = {}, {}
+    users, items, times = array("q"), array("q"), array("d")
+    have_time = "time" in pos
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            fields = line.split(delimiter)
+            if skip_header and lineno == 1:
+                continue
+            try:
+                if len(fields) < need:
+                    raise ValueError(f"expected at least {need} fields, got {len(fields)}")
+                rpos = pos.get("rating")
+                if min_rating is not None:
+                    if rpos is None or rpos >= len(fields):
+                        raise ValueError("rating threshold set but no rating field")
+                    if float(fields[rpos]) < min_rating:
+                        continue
+                elif rpos is not None and rpos < len(fields):
+                    float(fields[rpos])
+                ts, has_ts = 0.0, False
+                if have_time and pos["time"] < len(fields):
+                    ts, has_ts = float(fields[pos["time"]]), True
+                u_key, i_key = fields[pos["user"]], fields[pos["item"]]
+            except ValueError as exc:
+                if lineno == 1 and skip_header is None:
+                    continue
+                raise ParseError(f"{path} line {lineno}: {exc}") from exc
+            users.append(user_index.setdefault(u_key, len(user_index)))
+            items.append(item_index.setdefault(i_key, len(item_index)))
+            if has_ts:
+                times.append(ts)
+            elif have_time:
+                have_time = False
+    if not users:
+        raise EmptyDataset(f"no interactions loaded from {path}")
+    return InteractionSet.from_pairs(
+        np.frombuffer(users, dtype=np.int64), np.frombuffer(items, dtype=np.int64),
+        num_users=len(user_index), num_items=len(item_index),
+        timestamps=np.frombuffer(times, dtype=np.float64) if have_time and len(times) else None,
+        user_ids=list(user_index), item_ids=list(item_index),
+    )
+
+
+def _write_pairs_lines(path, users, items):
+    with open(path, "w", encoding="utf-8") as fh:
+        for u, i in zip(users, items):
+            fh.write(f"{u},{i}\n")
+
+
+def _write_holdout_users_lines(path, holdout_users, part):
+    with open(path, "w", encoding="utf-8") as fh:
+        for hu in holdout_users:
+            for i in getattr(hu, part):
+                fh.write(f"{hu.user},{i}\n")
+
+
+def write_id_maps_lines(out_dir, data) -> None:
+    """Line-at-a-time reference for ials.dataset.write_id_maps."""
+    for name, ids in (("user_map.csv", data.user_ids), ("item_map.csv", data.item_ids)):
+        if ids is None:
+            continue
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            for idx, ext in enumerate(ids):
+                fh.write(f"{ext},{idx}\n")
+
+
+def save_strong_generalization_lines(out_dir, validation, test) -> None:
+    """Line-at-a-time reference for ials.save_strong_generalization."""
+    os.makedirs(out_dir, exist_ok=True)
+    out = Path(out_dir)
+    _write_pairs_lines(out / "train.csv", *validation.train.pairs())
+    _write_holdout_users_lines(out / "validation_fold_in.csv", validation.users, "fold_in")
+    _write_holdout_users_lines(out / "validation_target.csv", validation.users, "target")
+    _write_holdout_users_lines(out / "test_fold_in.csv", test.users, "fold_in")
+    _write_holdout_users_lines(out / "test_target.csv", test.users, "target")
+
+
+def save_leave_one_out_lines(out_dir, split) -> None:
+    """Line-at-a-time reference for ials.save_leave_one_out."""
+    os.makedirs(out_dir, exist_ok=True)
+    out = Path(out_dir)
+    _write_pairs_lines(out / "train.csv", *split.train.pairs())
+    _write_pairs_lines(out / "test_holdout.csv", split.users, split.holdout)
+    with open(out / "test_negatives.csv", "w", encoding="utf-8") as fh:
+        for u, negs in zip(split.users, split.negatives):
+            fh.write(",".join([str(u)] + [str(n) for n in negs]) + "\n")

@@ -2,9 +2,14 @@ import csv
 import dataclasses
 import json
 import math
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ials.cli as cli
 from ials import Hyperparameters, IalsError
@@ -437,6 +442,144 @@ class TestBrokenSplitDir:
         assert rc == 2
         user = lines[2].split(",")[0]
         assert f"{name}: user {user} has more than one row" in caplog.text
+
+    @pytest.mark.parametrize("protocol,name,command", [
+        ("loo", "train.csv", "train"),
+        ("loo", "test_holdout.csv", "evaluate"),
+        ("strong-gen", "train.csv", "train"),
+        ("strong-gen", "test_fold_in.csv", "evaluate"),
+        ("strong-gen", "test_target.csv", "evaluate"),
+        ("strong-gen", "validation_fold_in.csv", "train"),
+        ("strong-gen", "validation_target.csv", "train"),
+    ])
+    @pytest.mark.parametrize("edit", ["extra", "missing"])
+    def test_pair_file_row_needs_two_fields(self, tmp_path, raw_file, caplog,
+                                            protocol, name, command, edit):
+        split_dir = (make_loo_dir if protocol == "loo" else make_strong_gen_dir)(
+            tmp_path, raw_file)
+        lines = (split_dir / name).read_text().splitlines()
+        user, item = lines[1].split(",")
+        lines[1] = f"{user},{item},7" if edit == "extra" else user
+        (split_dir / name).write_text("\n".join(lines) + "\n")
+        rc = main(self._argv(command, split_dir, protocol, tmp_path))
+        assert rc == 2
+        fields = 3 if edit == "extra" else 1
+        assert f"{name} line 2: expected 2 fields, got {fields}" in caplog.text
+
+    @pytest.mark.parametrize("row,reason", [
+        ("5,1,2", "line 3: expected 5 fields, got 3"),
+        ("5", "line 1: expected at least 2 fields, got 1"),
+    ])
+    def test_negatives_rows_share_one_width(self, tmp_path, raw_file, caplog, row, reason):
+        loo = make_loo_dir(tmp_path, raw_file)
+        lines = (loo / "test_negatives.csv").read_text().splitlines()
+        if row == "5":
+            lines = [row] * len(lines)
+        else:
+            lines[2] = row
+        (loo / "test_negatives.csv").write_text("\n".join(lines) + "\n")
+        rc = main(self._argv("evaluate", loo, "loo", tmp_path))
+        assert rc == 2
+        assert f"test_negatives.csv {reason}" in caplog.text
+
+    @pytest.mark.parametrize("protocol", ["loo", "strong-gen"])
+    def test_whitespace_only_lines_are_skipped(self, tmp_path, raw_file, capsys, protocol):
+        clean = (make_loo_dir if protocol == "loo" else make_strong_gen_dir)(
+            tmp_path, raw_file)
+        padded = tmp_path / "padded"
+        shutil.copytree(clean, padded)
+        for path in padded.glob("*.csv"):
+            lines = path.read_text().splitlines()
+            lines[1:1] = ["  "]
+            lines.insert(len(lines) // 2, " \t ")
+            path.write_text("\n".join(lines + ["\t"]) + "\n")
+        printed, models = [], []
+        for split_dir in (clean, padded):
+            run = tmp_path / f"run-{split_dir.name}"
+            models.append(run / "model-seed1.bin")
+            assert main(["train", "--split-dir", str(split_dir), "--protocol", protocol,
+                         "--out", str(run), *TRAIN_FLAGS]) == 0
+            capsys.readouterr()
+            hp = TRAIN_FLAGS[2:6] if protocol == "strong-gen" else []
+            assert main(["evaluate", "--split-dir", str(split_dir), "--protocol", protocol,
+                         "--model", str(models[-1]), *hp]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert models[0].read_bytes() == models[1].read_bytes()
+
+    @staticmethod
+    def _argv(command, split_dir, protocol, tmp_path):
+        argv = [command, "--split-dir", str(split_dir), "--protocol", protocol]
+        if command == "train":
+            return argv + ["--out", str(tmp_path / "run"), *TRAIN_FLAGS]
+        hp = TRAIN_FLAGS[2:6] if protocol == "strong-gen" else []
+        return argv + ["--model", str(tmp_path / "model.bin"), *hp]
+
+
+def _corrupt(text: str, kind: str, row: int) -> str:
+    """One corruption of a split file's text at a data row (0-based)."""
+    lines = text.splitlines()
+    if kind == "empty" or not lines:
+        return ""
+    row %= len(lines)
+    fields = lines[row].split(",")
+    if kind == "drop_field":
+        lines[row] = ",".join(fields[:-1])
+    elif kind == "add_field":
+        lines[row] = ",".join(fields + ["3"])
+    elif kind == "token":
+        lines[row] = ",".join(fields[:-1] + ["x1"])
+    elif kind == "negative":
+        lines[row] = ",".join(fields[:-1] + ["-" + fields[-1]])
+    elif kind == "duplicate":
+        lines.insert(row, lines[row])
+    elif kind == "header":
+        lines.insert(row, "user,item")
+    return "\n".join(lines) + "\n"
+
+
+CORRUPTIONS = ["drop_field", "add_field", "token", "negative", "duplicate", "empty", "header"]
+
+
+@pytest.fixture(scope="module")
+def trained_splits(tmp_path_factory):
+    """A loo and a strong-gen split dir of the same raw file, each with a model."""
+    base = tmp_path_factory.mktemp("fuzz")
+    raw = write_raw(base / "raw.csv", np.random.default_rng(5))
+    out = {}
+    for protocol, make in (("loo", make_loo_dir), ("strong-gen", make_strong_gen_dir)):
+        root = base / protocol
+        root.mkdir()
+        split_dir = make(root, raw)
+        assert main(["train", "--split-dir", str(split_dir), "--protocol", protocol,
+                     "--out", str(root / "run"), *TRAIN_FLAGS]) == 0
+        out[protocol] = (split_dir, root / "run" / "model-seed1.bin")
+    return out
+
+
+class TestSplitDirFuzz:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(protocol=st.sampled_from(["loo", "strong-gen"]), data=st.data(),
+           kind=st.sampled_from(CORRUPTIONS), row=st.integers(0, 400))
+    def test_corrupt_file_exits_0_or_2(self, trained_splits, capsys, protocol, data,
+                                       kind, row):
+        split_dir, model = trained_splits[protocol]
+        files = LOO_FILES if protocol == "loo" else STRONG_GEN_FILES
+        name = data.draw(st.sampled_from(files))
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp) / "split"
+            shutil.copytree(split_dir, work)
+            (work / name).write_text(_corrupt((work / name).read_text(), kind, row))
+            hp = TRAIN_FLAGS[2:6] if protocol == "strong-gen" else []
+            codes = [
+                main(["train", "--split-dir", str(work), "--protocol", protocol,
+                      "--out", str(Path(tmp) / "run"), *TRAIN_FLAGS]),
+                main(["evaluate", "--split-dir", str(work), "--protocol", protocol,
+                      "--model", str(model), *hp]),
+            ]
+        assert set(codes) <= {0, 2}, (name, kind, codes)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 SWEEP_BASE = ["--dim", "2", "--iterations", "2", "--seed", "1",

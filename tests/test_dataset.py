@@ -1,6 +1,9 @@
 import gzip
 import filecmp
+import re
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from ials import (
     strong_generalization_split,
 )
 from conftest import make_interactions
+import oracles
 
 
 class TestFromPairs:
@@ -160,6 +164,12 @@ class TestLoadInteractions:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_interactions(tmp_path / "nope.csv")
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,x\n\xff,y\n")
+        with pytest.raises(InputError, match="not UTF-8"):
+            load_interactions(path)
 
     def test_bad_column_name(self, tmp_path):
         path = self._write(tmp_path, "a,x\n")
@@ -361,3 +371,97 @@ class TestSplitDirIO:
         ials.dataset.write_id_maps(tmp_path, data)
         lines = (tmp_path / "user_map.csv").read_text().splitlines()
         assert lines == ["a,0", "b,1"]
+
+
+COLUMN_LISTS = ["user,item", "user,item,rating", "user,item,rating,time",
+                "skip,user,item,time", "user,skip,item,rating,time"]
+IDS = ["1", "2", "10", "01", "a", "b", "ab", " a"]
+NUMBERS = ["1", "2.5", "4", "5", " 3", "1e1", "nan"]
+
+
+@st.composite
+def raw_files(draw):
+    """Text of a raw interaction file with the arguments to load it."""
+    columns = draw(st.sampled_from(COLUMN_LISTS))
+    names = columns.split(",")
+    delimiter = draw(st.sampled_from([",", "\t", "::"]))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(delimiter.join(names))  # header
+    for _ in range(draw(st.integers(0, 12))):
+        fields = [draw(st.sampled_from(IDS)) if n in ("user", "item", "skip")
+                  else draw(st.sampled_from(NUMBERS)) for n in names]
+        if draw(st.integers(0, 5)) == 0:  # ragged: trailing fields missing
+            fields = fields[:draw(st.integers(1, len(fields)))]
+        lines.append(delimiter.join(fields))
+        if draw(st.integers(0, 6)) == 0:
+            lines.append("")
+    if lines and draw(st.integers(0, 3)) == 0:  # one bad token
+        row = draw(st.integers(0, len(lines) - 1))
+        fields = lines[row].split(delimiter)
+        fields[draw(st.integers(0, len(fields) - 1))] = "x"
+        lines[row] = delimiter.join(fields)
+    min_rating = draw(st.sampled_from([None, None, 3.0])) if "rating" in names else None
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), dict(
+        delimiter=delimiter, columns=columns, min_rating=min_rating,
+        skip_header=draw(st.sampled_from([None, None, True, False])))
+
+
+def _load_or_error(load, path, kwargs):
+    try:
+        return load(path, **kwargs)
+    except ials.ParseError as exc:
+        return ("ParseError", re.search(r"line (\d+)", str(exc)).group(1))
+    except ials.EmptyDataset:
+        return ("EmptyDataset",)
+
+
+class TestLoadInteractionsMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=raw_files(), gz=st.booleans(), block=st.sampled_from([1, 8, 64, 1 << 18]))
+    def test_same_ids_pairs_times_and_error_line(self, raw, gz, block):
+        text, kwargs = raw
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / ("raw.csv.gz" if gz else "raw.csv")
+            with (gzip.open(path, "wt", encoding="utf-8") if gz
+                  else open(path, "w", encoding="utf-8")) as fh:
+                fh.write(text)
+            expected = _load_or_error(oracles.load_interactions_lines, path, kwargs)
+            with mock.patch.object(ials.dataset, "_BLOCK_CHARS", block):
+                got = _load_or_error(load_interactions, path, kwargs)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert list(got.user_ids) == list(expected.user_ids)
+        assert list(got.item_ids) == list(expected.item_ids)
+        assert np.array_equal(got.user_ptr, expected.user_ptr)
+        assert np.array_equal(got.user_items, expected.user_items)
+        assert (got.timestamps is None) == (expected.timestamps is None)
+        if got.timestamps is not None:
+            assert np.array_equal(got.timestamps, expected.timestamps, equal_nan=True)
+
+
+class TestWritersMatchOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("block", [3, 1 << 17])
+    def test_split_files_byte_identical(self, tmp_path, seed, block):
+        rng = np.random.default_rng(seed)
+        data = make_interactions(rng, n_users=30, n_items=20, min_deg=4, max_deg=9,
+                                 with_timestamps=True)
+        data = InteractionSet.from_pairs(
+            *data.pairs(), timestamps=data.timestamps,
+            user_ids=[f"u{u}" for u in range(30)], item_ids=[f"i,{i}" for i in range(20)])
+        loo = leave_one_out_split(data, n_negatives=5, seed=seed)
+        val, test = strong_generalization_split(data, 5, seed, seed=seed)  # seed 0: no validation users
+        with mock.patch.object(ials.dataset, "_BLOCK_FIELDS", block):
+            ials.save_leave_one_out(tmp_path / "new_loo", loo)
+            ials.save_strong_generalization(tmp_path / "new_sg", val, test)
+            ials.dataset.write_id_maps(tmp_path / "new_sg", data)
+        oracles.save_leave_one_out_lines(tmp_path / "old_loo", loo)
+        oracles.save_strong_generalization_lines(tmp_path / "old_sg", val, test)
+        oracles.write_id_maps_lines(tmp_path / "old_sg", data)
+        for sub, names in (("loo", ials.dataset.LOO_FILES),
+                           ("sg", ials.dataset.STRONG_GEN_FILES + ("user_map.csv", "item_map.csv"))):
+            for name in names:
+                assert filecmp.cmp(tmp_path / f"new_{sub}" / name, tmp_path / f"old_{sub}" / name,
+                                   shallow=False), name

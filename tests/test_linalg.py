@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 
 import ials.linalg
 from ials import NotPositiveDefinite, gramian, solve_spd
-from ials.linalg import blas_threads
+from ials.linalg import blas_threads, cholesky
 
 
 class TestGramian:
@@ -72,6 +73,25 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefinite):
             solve_spd(A, np.ones(2))
 
+    @pytest.mark.parametrize("A,calls", [
+        (np.diag([2.0, 3.0]), 1),
+        (np.array([[1.0, 1.0], [1.0, 1.0]]), 2),  # singular: one jitter retry
+        (np.array([[1.0, 0.0], [0.0, -1.0]]), 1 + ials.linalg.JITTER_RETRIES),
+    ])
+    def test_one_cholesky_per_attempt(self, monkeypatch, A, calls):
+        seen = []
+
+        def spy(M):
+            seen.append(M.copy())
+            return cholesky(M)
+
+        monkeypatch.setattr(ials.linalg, "cholesky", spy)
+        try:
+            solve_spd(A, np.ones(2))
+        except NotPositiveDefinite:
+            pass
+        assert len(seen) == calls
+
     def test_input_not_mutated(self, rng):
         A = gramian(rng.standard_normal((6, 4))) + np.eye(4)
         b = rng.standard_normal(4)
@@ -79,6 +99,17 @@ class TestSolveSpd:
         solve_spd(A, b)
         assert np.array_equal(A, A0)
         assert np.array_equal(b, b0)
+
+
+class TestCholesky:
+    def test_lower_factor(self, rng):
+        A = gramian(rng.standard_normal((9, 5))) + 0.1 * np.eye(5)
+        L = np.tril(cholesky(A))
+        assert np.allclose(L @ L.T, A, rtol=1e-12, atol=1e-12)
+
+    def test_not_positive_definite(self):
+        with pytest.raises(LinAlgError):
+            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestBlasThreads:

@@ -148,12 +148,12 @@ class TestSolveEntity:
     def test_single_item_closed_form(self):
         h = np.array([[1.0]])
         for alpha0 in (0.0, 0.5, 2.0):
-            x = solve_entity(h, gramian(h), alpha0, 0.0)
+            x = solve_entity(h, alpha0 * gramian(h), 0.0)
             assert x[0] == pytest.approx(1.0 / (1.0 + alpha0), rel=1e-12)
 
     def test_empty_history_is_zero(self):
         G = gramian(np.ones((4, 3)))
-        assert np.array_equal(solve_entity(np.zeros((0, 3)), G, 0.5, 0.1), np.zeros(3))
+        assert np.array_equal(solve_entity(np.zeros((0, 3)), 0.5 * G, 0.1), np.zeros(3))
 
     def test_matches_bruteforce_assembly(self, rng):
         for _ in range(15):
@@ -163,7 +163,7 @@ class TestSolveEntity:
             obs = rng.choice(n_items, size=deg, replace=False)
             alpha0 = float(rng.choice([0.0, 0.1, 1.0]))
             lam = float(rng.uniform(0.01, 0.5))
-            got = solve_entity(H[obs], gramian(H), alpha0, lam)
+            got = solve_entity(H[obs], alpha0 * gramian(H), lam)
             expected = oracles.normal_equation_solution(H[obs], H, alpha0, lam)
             assert np.all(np.abs(got - expected) <= 1e-8)
 
@@ -178,7 +178,7 @@ class TestSolveEntityBlock:
 
     def test_single_block_equals_exact(self, rng):
         history, G, alpha0, lam = self._instance(rng, d=5)
-        exact = solve_entity(history, G, alpha0, lam)
+        exact = solve_entity(history, alpha0 * G, lam)
         one_pass = solve_entity_block(np.zeros(5), history, G, alpha0, lam, block_size=5)
         assert np.array_equal(one_pass, exact)
         bigger = solve_entity_block(np.zeros(5), history, G, alpha0, lam, block_size=9)
@@ -186,7 +186,7 @@ class TestSolveEntityBlock:
 
     def test_repeated_passes_reach_fixed_point(self, rng):
         history, G, alpha0, lam = self._instance(rng, d=8)
-        exact = solve_entity(history, G, alpha0, lam)
+        exact = solve_entity(history, alpha0 * G, lam)
         x = np.zeros(8)
         for _ in range(50):
             x = solve_entity_block(x, history, G, alpha0, lam, block_size=3)
@@ -312,6 +312,26 @@ class TestUpdates:
         hp_resolved = hp.resolve(small_data)
         model2, _ = train(small_data, hp_resolved)
         assert np.array_equal(model.user_factors, model2.user_factors)
+
+
+class TestExactHalfStepBitwise:
+    @pytest.mark.parametrize("dim,nu", [(3, 1.0), (16, 0.5), (64, 0.0)])
+    def test_matches_first_per_entity_path(self, rng, dim, nu):
+        # 40 items for at most 6 per user: some items have no users
+        data = make_interactions(rng, n_users=30, n_items=40, min_deg=1, max_deg=6)
+        hp = hp_direct(dim=dim, nu=nu)
+        model = init_model(data.num_users, data.num_items, dim, seed=3)
+        for update, side in ((update_users, "user"), (update_items, "item")):
+            if side == "user":
+                factors, fixed = model.user_factors, model.item_factors
+                ptr, partners, other = data.user_ptr, data.user_items, data.num_items
+            else:
+                factors, fixed = model.item_factors, model.user_factors
+                ptr, partners, other = data.item_ptr, data.item_users, data.num_users
+            lams = regularization_weight(np.diff(ptr), other, hp.alpha0, hp.nu, hp.lambda_)
+            expected = oracles.exact_half_step(factors, fixed, ptr, partners, hp.alpha0, lams)
+            update(model, data, hp)
+            assert np.array_equal(factors, expected), side
 
 
 class TestComputeLosses:
