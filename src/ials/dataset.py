@@ -99,19 +99,20 @@ class InteractionSet:
                 f"for shape {num_users}x{num_items}"
             )
 
+        key = users * num_items + items
         if timestamps is None:
-            order = np.lexsort((items, users))
+            order = np.argsort(key, kind="stable")
         else:
             # Sort timestamps last within each (u, i) group so dedup below
             # keeps the latest one.
-            order = np.lexsort((timestamps, items, users))
-        users, items = users[order], items[order]
+            order = np.lexsort((timestamps, key))
+        key, users, items = key[order], users[order], items[order]
         if timestamps is not None:
             timestamps = timestamps[order]
         if users.size:
             keep = np.empty(users.size, dtype=bool)
             keep[-1] = True
-            keep[:-1] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+            keep[:-1] = key[1:] != key[:-1]
             users, items = users[keep], items[keep]
             if timestamps is not None:
                 timestamps = timestamps[keep]
@@ -119,8 +120,7 @@ class InteractionSet:
         user_ptr = np.zeros(num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(users, minlength=num_users), out=user_ptr[1:])
 
-        t_order = np.lexsort((users, items))
-        item_users = users[t_order]
+        item_users = users[np.argsort(items, kind="stable")]
         item_ptr = np.zeros(num_items + 1, dtype=np.int64)
         np.cumsum(np.bincount(items, minlength=num_items), out=item_ptr[1:])
 
@@ -153,10 +153,6 @@ class InteractionSet:
     def items_of(self, u: int) -> np.ndarray:
         """Sorted item indices I(u)."""
         return self.user_items[self.user_ptr[u]:self.user_ptr[u + 1]]
-
-    def users_of(self, i: int) -> np.ndarray:
-        """Sorted user indices U(i)."""
-        return self.item_users[self.item_ptr[i]:self.item_ptr[i + 1]]
 
     def timestamps_of(self, u: int) -> np.ndarray | None:
         if self.timestamps is None:
@@ -213,12 +209,6 @@ _BLOCK_CHARS = 1 << 18
 _BLOCK_FIELDS = 1 << 17
 
 
-def _open_text(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
-
-
 def _parse_columns(columns: str) -> dict[str, int]:
     names = [c.strip() for c in columns.split(",")]
     bad = [c for c in names if c not in _COLUMN_NAMES]
@@ -230,16 +220,24 @@ def _parse_columns(columns: str) -> dict[str, int]:
     return pos
 
 
-def _text_blocks(fh, path):
-    """Line 1 of fh, then the rest in pieces of whole lines.
+def _blocks(path):
+    """(first line number, text) of a text file, plain or .gz: line 1, then
+    pieces of about _BLOCK_CHARS characters of whole lines.
 
-    The pieces hold about _BLOCK_CHARS characters each, so the arrays
-    built from one piece stay small whatever the file size.
+    Raises InputError when the file cannot be opened or read, or is not
+    UTF-8.
     """
     try:
-        yield fh.readline()
-        while block := fh.read(_BLOCK_CHARS):
-            yield block + fh.readline()
+        with (gzip.open(path, "rt", encoding="utf-8") if str(path).endswith(".gz")
+              else open(path, encoding="utf-8")) as fh:
+            lineno, block = 1, fh.readline()
+            while block:
+                yield lineno, block
+                lineno += block.count("\n")
+                if block := fh.read(_BLOCK_CHARS):
+                    block += fh.readline()
+    except (OSError, EOFError) as exc:  # EOFError: a truncated .gz
+        raise InputError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
@@ -335,16 +333,16 @@ def _codes(index: dict[str, int], keys: list[str]) -> np.ndarray:
 
 def load_interactions(path, *, delimiter: str | None = None,
                       columns: str = "user,item,rating,time",
-                      min_rating: float | None = None,
-                      skip_header: bool | None = None) -> InteractionSet:
+                      min_rating: float | None = None) -> InteractionSet:
     """Load an interaction file into an InteractionSet.
 
     The file holds one interaction per row with at least (user, item)
     fields; rating and timestamp fields are used when present in the
-    column list and the row.  External ids are mapped to contiguous
-    0-based indices in first-appearance order and kept on the result
-    (user_ids/item_ids).  Duplicate pairs are collapsed.  Timestamps are
-    kept only when every kept row has one.
+    column list and the row.  A first line that does not parse is a
+    header.  External ids are mapped to contiguous 0-based indices in
+    first-appearance order and kept on the result (user_ids/item_ids).
+    Duplicate pairs are collapsed.  Timestamps are kept only when every
+    kept row has one.
 
     Args:
         path: csv/tsv file, optionally gzip-compressed.
@@ -354,8 +352,6 @@ def load_interactions(path, *, delimiter: str | None = None,
             user,item,rating,time,skip.
         min_rating: when set, rows with rating < min_rating are dropped
             (binarization threshold); default keeps every row as a positive.
-        skip_header: skip the first line.  Default (None) skips it only
-            when it fails to parse.
 
     Raises:
         ParseError: malformed row (with its line number).
@@ -372,34 +368,23 @@ def load_interactions(path, *, delimiter: str | None = None,
     item_index: dict[str, int] = {}
     users, items, times = [], [], []
     timed = "time" in pos
-    lineno = 1
 
-    try:
-        fh = _open_text(path)
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from exc
-
-    with fh:
-        for block in _text_blocks(fh, path):
-            start = lineno
-            lineno += block.count("\n") + (not block.endswith("\n"))
-            if start == 1 and skip_header:
-                continue
+    for start, block in _blocks(path):
+        try:
             try:
-                try:
-                    rows = _interaction_table(block, pos, delimiter, min_rating, timed)
-                except ValueError:
-                    rows = _interaction_lines(block, start, path, pos,
-                                              delimiter, min_rating, timed)
-            except ParseError:
-                if start > 1 or skip_header is not None:
-                    raise
-                log.debug("treating first line of %s as a header", path)
-                continue
-            u_keys, i_keys, block_times, timed = rows
-            users.append(_codes(user_index, u_keys))
-            items.append(_codes(item_index, i_keys))
-            times.append(block_times)
+                rows = _interaction_table(block, pos, delimiter, min_rating, timed)
+            except ValueError:
+                rows = _interaction_lines(block, start, path, pos,
+                                          delimiter, min_rating, timed)
+        except ParseError:
+            if start > 1:
+                raise
+            log.debug("treating first line of %s as a header", path)
+            continue
+        u_keys, i_keys, block_times, timed = rows
+        users.append(_codes(user_index, u_keys))
+        items.append(_codes(item_index, i_keys))
+        times.append(block_times)
 
     users = np.concatenate(users) if users else np.empty(0, dtype=np.int64)
     if not users.size:
@@ -444,6 +429,8 @@ def strong_generalization_split(data: InteractionSet, n_holdout_users: int,
     n_validation_users = int(n_validation_users)
     if n_holdout_users < 1:
         raise InputError("n_holdout_users must be >= 1")
+    if n_validation_users < 0:
+        raise InputError("n_validation_users must be >= 0")
 
     counts = data.user_counts
     # A user is only usable if ceil(f*n) < n, i.e. at least one interaction
@@ -512,8 +499,11 @@ def leave_one_out_split(data: InteractionSet, n_negatives: int = 100, seed: int 
 
     Raises:
         UserTooSparse: some user has fewer than 2 interactions.
-        InputError: not enough candidate items to sample negatives from.
+        InputError: n_negatives < 1, or not enough candidate items to
+            sample negatives from.
     """
+    if n_negatives < 1:
+        raise InputError("n_negatives must be >= 1")
     counts = data.user_counts
     offenders = np.flatnonzero(counts < 2)
     if offenders.size:
@@ -586,55 +576,41 @@ def _write_holdout_users(path, holdout_users, part):
                                         np.concatenate([none, *items]))))
 
 
-def _int_fields(line: str) -> list[int] | None:
-    try:
-        return [int(f) for f in line.replace("\t", ",").split(",")]
-    except ValueError:
-        return None
+def _int_lines(block: str, lineno: int, path, width: int | None) -> np.ndarray:
+    """Rows of a block of split-file lines read one at a time with int();
+    the block starts at file line `lineno`.
 
-
-def _int_block(block: str) -> np.ndarray:
-    """The rows of a block of split-file lines as a 2-d int64 array.
-
-    numpy's reader takes almost every block.  A block it rejects is read
-    again one line at a time with int(), skipping lines that are blank
-    after strip(): whitespace-only lines and number forms numpy lacks
-    (such as "1_000") stay legal.  Raises ValueError or OverflowError
-    for a bad or ragged row.
+    Lines blank after strip() are skipped, so whitespace-only lines and
+    number forms numpy lacks (such as "1_000") stay legal.  A line 1 that
+    is not integers is a header.  Raises ParseError naming the first line
+    that is not a row of `width` non-negative integers (width None: as
+    many as the first row, at least 2).
     """
-    try:
-        return _loadtxt(block.replace("\t", ","), np.int64, ",", 2)
-    except ValueError:
-        rows = [_int_fields(line) for line in block.split("\n") if line.strip()]
-        if None in rows:
-            raise
-        return np.array(rows, dtype=np.int64, ndmin=2)
-
-
-def _parse_error(path, width: int | None, exc=None) -> ParseError:
-    """ParseError naming the first line of a split file that is not a row
-    of `width` non-negative integers (width None: as many as the first
-    row, at least 2)."""
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            row = _int_fields(line)
-            if row is None:
-                if lineno == 1:
-                    continue  # header
-                reason = f"expected integers separated by commas or tabs, got {line!r}"
-            elif width is None and len(row) < 2:
+    rows = []
+    for lineno, line in enumerate(block.split("\n"), start=lineno):
+        if not line.strip():
+            continue
+        try:
+            row = [int(f) for f in line.replace("\t", ",").split(",")]
+        except ValueError:
+            if lineno == 1:
+                continue  # header
+            reason = f"expected integers separated by commas or tabs, got {line!r}"
+        else:
+            if width is None and len(row) < 2:
                 reason = f"expected at least 2 fields, got {len(row)}"
             elif len(row) != (width := width or len(row)):
                 reason = f"expected {width} fields, got {len(row)}"
             elif min(row) < 0:
                 reason = "negative id"
             else:
+                rows.append(row)
                 continue
-            return ParseError(f"{path} line {lineno}: {reason}")
-    return ParseError(f"{path}: {exc}")
+        raise ParseError(f"{path} line {lineno}: {reason}")
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _read_int_table(path, width: int | None = None, may_be_empty: bool = False) -> np.ndarray:
@@ -650,25 +626,22 @@ def _read_int_table(path, width: int | None = None, may_be_empty: bool = False) 
         InputError: the file has no rows, unless may_be_empty.
     """
     parts = []
-    with _open_text(path) as fh:
-        for n, block in enumerate(_text_blocks(fh, path)):
-            if n == 0 and block.strip() and _int_fields(block) is None:
-                continue  # header
-            try:
-                parts.append(_int_block(block))
-            except (ValueError, OverflowError) as exc:
-                raise _parse_error(path, width, exc) from None
-    parts = [p for p in parts if p.size]
+    for start, block in _blocks(path):
+        try:
+            rows = _loadtxt(block.replace("\t", ","), np.int64, ",", 2)
+            if rows.size and (rows.shape[1] != (width or max(rows.shape[1], 2))
+                              or rows.min() < 0):
+                raise ValueError("bad row")
+        except ValueError:
+            rows = _int_lines(block, start, path, width)
+        if rows.size:
+            parts.append(rows)
+            width = rows.shape[1]
     if not parts:
         if may_be_empty:
             return np.empty((0, width or 2), dtype=np.int64)
         raise InputError(f"{path}: no rows")
-    if len({p.shape[1] for p in parts}) > 1:
-        raise _parse_error(path, width)
-    table = np.concatenate(parts)
-    if table.shape[1] != (width or max(table.shape[1], 2)) or (table < 0).any():
-        raise _parse_error(path, width)
-    return table
+    return np.concatenate(parts)
 
 
 def write_id_maps(out_dir, data: InteractionSet) -> None:

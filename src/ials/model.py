@@ -106,10 +106,15 @@ def load_model(path) -> FactorModel:
     """Read a model file written by save_model.
 
     Raises:
-        InputError: unknown magic/version, malformed header, or a payload
-            whose size disagrees with the header.
+        InputError: the file cannot be opened, unknown magic/version,
+            malformed header, or a payload whose size disagrees with the
+            header.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise InputError(f"cannot open {path}: {exc}") from exc
+    with fh:
         header = fh.readline(256).decode("ascii", errors="replace").strip()
         parts = header.split()
         if len(parts) != 5 or parts[0] != MODEL_MAGIC:

@@ -80,10 +80,6 @@ class Hyperparameters:
         if self.block_size < 1 or self.projection_repeats < 1:
             raise InputError("block_size and projection_repeats must be >= 1")
 
-    @property
-    def reg_mode(self) -> str:
-        return "direct" if self.lambda_ is not None else "normalized"
-
     def resolve(self, data: InteractionSet) -> "Hyperparameters":
         """Return a direct-mode copy; normalized lambda_star is rescaled on data."""
         if self.lambda_ is not None:

@@ -173,7 +173,7 @@ def _open_text(path):
 
 
 def load_interactions_lines(path, *, delimiter=None, columns="user,item,rating,time",
-                            min_rating=None, skip_header=None) -> InteractionSet:
+                            min_rating=None) -> InteractionSet:
     """Raw interaction file parsed one line at a time with str.split and
     float(): the reference for ials.load_interactions (same arguments,
     same ParseError line numbers)."""
@@ -192,8 +192,6 @@ def load_interactions_lines(path, *, delimiter=None, columns="user,item,rating,t
             if not line:
                 continue
             fields = line.split(delimiter)
-            if skip_header and lineno == 1:
-                continue
             try:
                 if len(fields) < need:
                     raise ValueError(f"expected at least {need} fields, got {len(fields)}")
@@ -210,8 +208,8 @@ def load_interactions_lines(path, *, delimiter=None, columns="user,item,rating,t
                     ts, has_ts = float(fields[pos["time"]]), True
                 u_key, i_key = fields[pos["user"]], fields[pos["item"]]
             except ValueError as exc:
-                if lineno == 1 and skip_header is None:
-                    continue
+                if lineno == 1:
+                    continue  # header
                 raise ParseError(f"{path} line {lineno}: {exc}") from exc
             users.append(user_index.setdefault(u_key, len(user_index)))
             items.append(item_index.setdefault(i_key, len(item_index)))
@@ -227,6 +225,39 @@ def load_interactions_lines(path, *, delimiter=None, columns="user,item,rating,t
         timestamps=np.frombuffer(times, dtype=np.float64) if have_time and len(times) else None,
         user_ids=list(user_index), item_ids=list(item_index),
     )
+
+
+def read_int_table_lines(path, width=None, may_be_empty=False) -> np.ndarray:
+    """Split file read one line at a time with int(): the reference for
+    ials.dataset._read_int_table (same arguments, same table, same
+    ParseError and InputError messages)."""
+    rows = []
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            where = f"{path} line {lineno}"
+            try:
+                row = [int(f) for f in line.replace("\t", ",").split(",")]
+            except ValueError:
+                if lineno == 1:
+                    continue  # header
+                raise ParseError(f"{where}: expected integers separated by commas "
+                                 f"or tabs, got {line!r}") from None
+            if width is None and len(row) < 2:
+                raise ParseError(f"{where}: expected at least 2 fields, got {len(row)}")
+            width = width or len(row)
+            if len(row) != width:
+                raise ParseError(f"{where}: expected {width} fields, got {len(row)}")
+            if min(row) < 0:
+                raise ParseError(f"{where}: negative id")
+            rows.append(row)
+    if not rows:
+        if may_be_empty:
+            return np.empty((0, width or 2), dtype=np.int64)
+        raise InputError(f"{path}: no rows")
+    return np.array(rows, dtype=np.int64)
 
 
 def _write_pairs_lines(path, users, items):

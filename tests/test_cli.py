@@ -80,6 +80,17 @@ class TestSplitCommand:
                    "--protocol", "loo", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--protocol", "loo", "--negatives", "-1"],
+        ["--protocol", "loo", "--negatives", "0"],
+        ["--protocol", "strong-gen", "--holdout-users", "5", "--validation-users", "-2"],
+    ])
+    def test_bad_split_size_is_input_error(self, tmp_path, raw_file, capsys, argv):
+        out = tmp_path / "split"
+        assert main(["split", "--data", str(raw_file), "--out", str(out), *argv]) == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, raw_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["split", "--data", str(raw_file), "--wat", "1",
@@ -390,6 +401,14 @@ class TestEvaluateCommand:
         rc = main(["evaluate", "--split-dir", str(split), "--protocol", "loo"])
         assert rc == 2
 
+    def test_missing_model_file_is_input_error(self, tmp_path, raw_file, caplog):
+        split = make_loo_dir(tmp_path, raw_file)
+        missing = tmp_path / "missing.bin"
+        rc = main(["evaluate", "--split-dir", str(split), "--protocol", "loo",
+                   "--model", str(missing)])
+        assert rc == 2
+        assert f"cannot open {missing}" in caplog.text
+
     def test_bad_part_is_input_error(self, tmp_path, raw_file):
         split, _, models = self._trained(tmp_path, raw_file, "strong-gen")
         with pytest.raises(SystemExit) as exc:
@@ -422,6 +441,15 @@ class TestBrokenSplitDir:
                    "--model", str(tmp_path / "model.bin")])
         assert rc == 2
         assert f"{name}: no rows" in caplog.text
+
+    @pytest.mark.parametrize("name", LOO_FILES)
+    def test_missing_loo_file(self, tmp_path, raw_file, caplog, name):
+        loo = make_loo_dir(tmp_path, raw_file)
+        (loo / name).unlink()
+        rc = main(["train", "--split-dir", str(loo), "--protocol", "loo",
+                   "--out", str(tmp_path / "run"), *TRAIN_FLAGS])
+        assert rc == 2
+        assert f"cannot open {loo / name}" in caplog.text
 
     @pytest.mark.parametrize("name", ["train.csv", "test_fold_in.csv", "test_target.csv"])
     def test_empty_strong_gen_file(self, tmp_path, raw_file, caplog, name):
@@ -538,7 +566,8 @@ def _corrupt(text: str, kind: str, row: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-CORRUPTIONS = ["drop_field", "add_field", "token", "negative", "duplicate", "empty", "header"]
+CORRUPTIONS = ["drop_field", "add_field", "token", "negative", "duplicate", "empty", "header",
+               "removed"]
 
 
 @pytest.fixture(scope="module")
@@ -570,7 +599,10 @@ class TestSplitDirFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp) / "split"
             shutil.copytree(split_dir, work)
-            (work / name).write_text(_corrupt((work / name).read_text(), kind, row))
+            if kind == "removed":
+                (work / name).unlink()
+            else:
+                (work / name).write_text(_corrupt((work / name).read_text(), kind, row))
             hp = TRAIN_FLAGS[2:6] if protocol == "strong-gen" else []
             codes = [
                 main(["train", "--split-dir", str(work), "--protocol", protocol,

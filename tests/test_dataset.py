@@ -32,8 +32,8 @@ class TestFromPairs:
         assert data.num_users == 3 and data.num_items == 3
         assert data.items_of(0).tolist() == [0, 2]
         assert data.items_of(1).tolist() == [1]
-        assert data.users_of(0).tolist() == [0, 2]
-        assert data.users_of(2).tolist() == [0]
+        assert data.item_users[data.item_ptr[0]:data.item_ptr[1]].tolist() == [0, 2]
+        assert data.item_users[data.item_ptr[2]:data.item_ptr[3]].tolist() == [0]
 
     def test_counts(self):
         data = InteractionSet.from_pairs([0, 0, 1], [0, 1, 1])
@@ -80,9 +80,9 @@ class TestFromPairs:
         data = InteractionSet.from_pairs(users, items, num_users=10, num_items=8)
         for u in range(10):
             for i in data.items_of(u):
-                assert u in data.users_of(i)
+                assert u in data.item_users[data.item_ptr[i]:data.item_ptr[i + 1]]
         for i in range(8):
-            for u in data.users_of(i):
+            for u in data.item_users[data.item_ptr[i]:data.item_ptr[i + 1]]:
                 assert i in data.items_of(u)
         assert data.num_pairs == len(set(pairs))
 
@@ -124,12 +124,6 @@ class TestLoadInteractions:
         assert data.num_pairs == 1
         assert list(data.user_ids) == ["a"]
 
-    def test_explicit_skip_header(self, tmp_path):
-        # header that would parse as data must be skippable by hand
-        path = self._write(tmp_path, "u0,i0\na,x\n")
-        data = load_interactions(path, columns="user,item", skip_header=True)
-        assert list(data.user_ids) == ["a"]
-
     def test_min_rating_filters(self, tmp_path):
         path = self._write(tmp_path, "a,x,5,1\na,y,2,2\nb,x,4,3\n")
         data = load_interactions(path, min_rating=4.0)
@@ -169,6 +163,13 @@ class TestLoadInteractions:
         path = tmp_path / "data.csv"
         path.write_bytes(b"a,x\n\xff,y\n")
         with pytest.raises(InputError, match="not UTF-8"):
+            load_interactions(path)
+
+    def test_truncated_gzip(self, tmp_path):
+        path = tmp_path / "data.csv.gz"
+        packed = gzip.compress("".join(f"u{i},i{i % 7}\n" for i in range(2000)).encode())
+        path.write_bytes(packed[:len(packed) // 2])
+        with pytest.raises(InputError, match="cannot open"):
             load_interactions(path)
 
     def test_bad_column_name(self, tmp_path):
@@ -403,8 +404,7 @@ def raw_files(draw):
         lines[row] = delimiter.join(fields)
     min_rating = draw(st.sampled_from([None, None, 3.0])) if "rating" in names else None
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), dict(
-        delimiter=delimiter, columns=columns, min_rating=min_rating,
-        skip_header=draw(st.sampled_from([None, None, True, False])))
+        delimiter=delimiter, columns=columns, min_rating=min_rating)
 
 
 def _load_or_error(load, path, kwargs):
@@ -439,6 +439,56 @@ class TestLoadInteractionsMatchesOracle:
         assert (got.timestamps is None) == (expected.timestamps is None)
         if got.timestamps is not None:
             assert np.array_equal(got.timestamps, expected.timestamps, equal_nan=True)
+
+
+INT_FIELDS = ["0", "1", "7", "12", "305", " 4", "+5", "-0", "1_000"]
+BAD_FIELDS = ["-3", "x", "", "1.5", "1 2"]
+
+
+@st.composite
+def split_files(draw):
+    """Text of a split file with the width and may_be_empty to read it with."""
+    width = draw(st.sampled_from([None, 2, 3]))
+    n_fields = width or draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["user,item", "user\titem", "u", "1,x"])))
+    for _ in range(draw(st.integers(0, 30))):
+        k = draw(st.integers(1, 4)) if draw(st.integers(0, 12)) == 0 else n_fields
+        fields = [draw(st.sampled_from(INT_FIELDS)) for _ in range(k)]
+        if draw(st.integers(0, 12)) == 0:
+            fields[draw(st.integers(0, k - 1))] = draw(st.sampled_from(BAD_FIELDS))
+        lines.append(draw(st.sampled_from([",", ",", "\t"])).join(fields))
+        if draw(st.integers(0, 6)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", " \t "])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), width, draw(st.booleans())
+
+
+def _table_or_error(read, path, width, may_be_empty):
+    try:
+        return read(path, width, may_be_empty)
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestReadIntTableMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=split_files(), gz=st.booleans(), block=st.sampled_from([1, 8, 64, 1 << 18]))
+    def test_same_table_or_error_message(self, raw, gz, block):
+        text, width, may_be_empty = raw
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / ("split.csv.gz" if gz else "split.csv")
+            with (gzip.open(path, "wt", encoding="utf-8") if gz
+                  else open(path, "w", encoding="utf-8")) as fh:
+                fh.write(text)
+            expected = _table_or_error(oracles.read_int_table_lines, path, width, may_be_empty)
+            with mock.patch.object(ials.dataset, "_BLOCK_CHARS", block):
+                got = _table_or_error(ials.dataset._read_int_table, path, width, may_be_empty)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64
+            assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
 class TestWritersMatchOracle:

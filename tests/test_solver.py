@@ -43,9 +43,9 @@ class TestHyperparameters:
             Hyperparameters(dim=2, alpha0=0.1, lambda_=0.1, lambda_star=0.1)
 
     def test_reg_modes(self):
-        assert hp_direct().reg_mode == "direct"
+        assert hp_direct().lambda_ is not None
         hp = Hyperparameters(dim=2, alpha0=0.1, lambda_star=0.1)
-        assert hp.reg_mode == "normalized"
+        assert hp.lambda_ is None
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -84,7 +84,7 @@ class TestHyperparameters:
     def test_resolve_normalized_sets_lambda(self, small_data):
         hp = Hyperparameters(dim=2, alpha0=0.1, lambda_star=0.05, nu=0.5, nu_star=1.0)
         resolved = hp.resolve(small_data)
-        assert resolved.reg_mode == "direct"
+        assert resolved.lambda_ is not None
         expected = effective_lambda(0.05, 0.5, 1.0, small_data, 0.1)
         assert resolved.lambda_ == expected
 
@@ -276,10 +276,9 @@ class TestUpdates:
         update_items(model, data, hp)
         W = model.user_factors
         for i in range(6):
-            lam_i = regularization_weight(data.users_of(i).size, 8,
-                                          hp.alpha0, hp.nu, hp.lambda_)
-            expected = oracles.normal_equation_solution(
-                W[data.users_of(i)], W, hp.alpha0, lam_i)
+            users_i = data.item_users[data.item_ptr[i]:data.item_ptr[i + 1]]
+            lam_i = regularization_weight(users_i.size, 8, hp.alpha0, hp.nu, hp.lambda_)
+            expected = oracles.normal_equation_solution(W[users_i], W, hp.alpha0, lam_i)
             assert np.all(np.abs(model.item_factors[i] - expected) <= 1e-8)
 
     def test_half_steps_never_increase_loss(self, rng):
