@@ -315,7 +315,12 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         # No validation artifacts exist under leave-one-out, so carve an
         # inner validation split out of the training interactions.
         inner = ds.leave_one_out_split(
-            outer.train, n_negatives=outer.negatives.shape[1], seed=ns.seed)
+            outer.train, n_negatives=outer.negatives.shape[1], seed=ns.seed,
+            skip_sparse_users=True)
+        skipped = outer.train.num_users - inner.users.size
+        if skipped:
+            log.warning("inner validation split skips %d user(s) with fewer than "
+                        "2 training interactions", skipped)
         train_data = inner.train
         metric = ns.metric or f"hr@{ndcg_ks[0]}"
 
@@ -467,6 +472,8 @@ def main(argv=None) -> int:
         if ns.config:
             ns.parser.set_defaults(**_config_defaults(ns.parser, ns.config))
             ns = parser.parse_args(argv)
+        if ns.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {ns.seed}")
         return ns.func(ns)
     except InputError as exc:
         log.error("%s", exc)

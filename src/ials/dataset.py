@@ -488,42 +488,44 @@ def strong_generalization_split(data: InteractionSet, n_holdout_users: int,
 
 
 def leave_one_out_split(data: InteractionSet, n_negatives: int = 100, seed: int = 0,
-                        allow_seen_negatives: bool = False) -> LeaveOneOutSplit:
+                        allow_seen_negatives: bool = False,
+                        skip_sparse_users: bool = False) -> LeaveOneOutSplit:
     """Hold out one item per user and sample negative candidates.
 
     The held-out item is the user's latest by timestamp when timestamps
     exist (first-occurring maximum on ties), otherwise a seeded uniform
     draw.  Negatives are sampled uniformly without replacement from items
     that are not the holdout and, unless allow_seen_negatives, not among
-    the user's interactions.
+    the user's interactions.  With skip_sparse_users, a user with fewer
+    than 2 interactions gets no holdout and keeps them in train.
 
     Raises:
-        UserTooSparse: some user has fewer than 2 interactions.
+        UserTooSparse: some user has fewer than 2 interactions and
+            skip_sparse_users is off.
         InputError: n_negatives < 1, or not enough candidate items to
             sample negatives from.
     """
     if n_negatives < 1:
         raise InputError("n_negatives must be >= 1")
-    counts = data.user_counts
-    offenders = np.flatnonzero(counts < 2)
-    if offenders.size:
-        raise UserTooSparse(offenders.tolist())
+    sparse = data.user_counts < 2
+    if sparse.any() and not skip_sparse_users:
+        raise UserTooSparse(np.flatnonzero(sparse).tolist())
 
     rng = np.random.default_rng(seed)
     num_items = data.num_items
-    users = np.arange(data.num_users, dtype=np.int64)
-    holdout = np.empty(data.num_users, dtype=np.int64)
-    negatives = np.empty((data.num_users, n_negatives), dtype=np.int64)
+    users = np.flatnonzero(~sparse).astype(np.int64)
+    holdout = np.empty(users.size, dtype=np.int64)
+    negatives = np.empty((users.size, n_negatives), dtype=np.int64)
     item_pool = np.arange(num_items, dtype=np.int64)
 
-    for u in users:
+    for idx, u in enumerate(users):
         row = data.items_of(u)
         ts = data.timestamps_of(u)
         if ts is not None:
             held = row[int(np.argmax(ts))]
         else:
             held = row[int(rng.integers(row.size))]
-        holdout[u] = held
+        holdout[idx] = held
 
         blocked = np.zeros(num_items, dtype=bool)
         if allow_seen_negatives:
@@ -536,10 +538,12 @@ def leave_one_out_split(data: InteractionSet, n_negatives: int = 100, seed: int 
                 f"user {u}: only {pool.size} candidate items for "
                 f"{n_negatives} negatives"
             )
-        negatives[u] = rng.choice(pool, size=n_negatives, replace=False)
+        negatives[idx] = rng.choice(pool, size=n_negatives, replace=False)
 
     all_u, all_i = data.pairs()
-    keep = all_i != holdout[all_u]
+    held_of = np.full(data.num_users, -1, dtype=np.int64)
+    held_of[users] = holdout
+    keep = all_i != held_of[all_u]
     train = InteractionSet.from_pairs(
         all_u[keep], all_i[keep],
         num_users=data.num_users, num_items=data.num_items,
@@ -682,22 +686,27 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
                                                    StrongGeneralizationSplit]:
     """Load a strong-generalization split directory verbatim.
 
-    Returns (validation, test); validation is None when its files are
-    absent.  The item vocabulary is the union over all files so published
-    splits evaluate exactly as distributed.
+    Returns (validation, test); validation is None when both its files
+    are absent.  The item vocabulary is the union over all files so
+    published splits evaluate exactly as distributed.
+
+    Raises:
+        InputError: a test file is missing, or one validation file is
+            present without the other.
     """
     d = Path(split_dir)
     train_rows = _read_int_table(d / "train.csv", 2)
     parts = {}
     for part in ("validation", "test"):
-        fi, tg = d / f"{part}_fold_in.csv", d / f"{part}_target.csv"
-        if fi.exists() and tg.exists():
+        names = (f"{part}_fold_in.csv", f"{part}_target.csv")
+        missing = [name for name in names if not (d / name).exists()]
+        if not missing:
             # no validation users leave the validation files empty
             empty_ok = part == "validation"
-            parts[part] = (_read_int_table(fi, 2, may_be_empty=empty_ok),
-                           _read_int_table(tg, 2, may_be_empty=empty_ok))
-        elif part == "test":
-            raise InputError(f"{d}: missing {part}_fold_in.csv / {part}_target.csv")
+            parts[part] = tuple(_read_int_table(d / name, 2, may_be_empty=empty_ok)
+                                for name in names)
+        elif part == "test" or len(missing) == 1:
+            raise InputError(f"{d}: missing {' and '.join(missing)}")
 
     tables = [train_rows, *chain.from_iterable(parts.values())]
     max_user = max(int(t[:, 0].max(initial=-1)) for t in tables)

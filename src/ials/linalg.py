@@ -70,11 +70,14 @@ def cholesky(A: np.ndarray) -> np.ndarray:
     return L
 
 
-def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
     If the factorization fails, retries with escalating diagonal jitter
     (JITTER_SCALE * trace(A)/d, then x10 per retry, JITTER_RETRIES times).
+
+    Returns (x, L), L the lower Cholesky factor of the matrix factored (A
+    plus any jitter): a further right-hand side costs one dpotrs(L, b).
 
     Raises:
         NotPositiveDefinite: no attempt produced a positive definite
@@ -97,7 +100,7 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             L = cholesky(Aj)
         except LinAlgError:
             continue
-        return dpotrs(L, b, lower=1)[0]
+        return dpotrs(L, b, lower=1)[0], L
 
     raise NotPositiveDefinite(
         f"{d}x{d} system is not positive definite after {JITTER_RETRIES} "

@@ -19,7 +19,7 @@ from .dataset import LeaveOneOutSplit, StrongGeneralizationSplit
 from .errors import DimensionMismatch, InputError
 from .linalg import gramian
 from .model import FactorModel, RankedList, rank_items
-from .solver import Hyperparameters, project_user
+from .solver import Hyperparameters, block_side, project_user
 
 
 class EmptyRelevantSet(InputError):
@@ -102,13 +102,14 @@ def evaluate_strong_generalization(model: FactorModel, split: StrongGeneralizati
             f"model has {model.num_items} items, split vocabulary {split.train.num_items}")
     hp = hp.resolve(split.train)
     H = model.item_factors
-    G_H = gramian(H)
+    side = block_side(H, gramian(H), hp.alpha0,
+                      hp.block_size if hp.solver == "block" else H.shape[1])
     max_k = max([*recall_ks, *ndcg_ks])
 
     names = [f"recall@{k}" for k in recall_ks] + [f"ndcg@{k}" for k in ndcg_ks]
     values = {name: np.zeros(len(split.users)) for name in names}
     for idx, hu in enumerate(split.users):
-        w = project_user(hu.fold_in, H, G_H, hp)
+        w = project_user(hu.fold_in, side, hp)
         ranked = rank_items(H @ w, exclude=hu.fold_in, k=max_k)
         for k in recall_ks:
             values[f"recall@{k}"][idx] = recall_at_k(ranked, hu.target, k)

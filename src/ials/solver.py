@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 
 from .dataset import InteractionSet
 from .errors import IalsError, InputError
@@ -30,6 +31,10 @@ SOLVER_KINDS = ("exact", "block")
 # chunk length for streaming the observed-pair loss; bounds peak memory
 # at roughly 2 * chunk * dim floats
 _LOSS_CHUNK = 16384
+
+# A block is solved in the interaction space only while min(D) exceeds
+# this fraction of max(D); D^-1 magnifies rounding by their ratio.
+_WOODBURY_MIN_RATIO = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,8 +76,8 @@ class Hyperparameters:
             raise InputError("regularization strength must be >= 0")
         if not 0.0 <= self.nu <= 1.0 or not 0.0 <= self.nu_star <= 1.0:
             raise InputError("nu and nu_star must lie in [0, 1]")
-        if self.iterations < 0:
-            raise InputError("iterations must be >= 0")
+        if self.iterations < 0 or self.seed < 0:
+            raise InputError("iterations and seed must be >= 0")
         if self.sigma_star < 0:
             raise InputError("sigma_star must be >= 0")
         if self.solver not in SOLVER_KINDS:
@@ -84,7 +89,8 @@ class Hyperparameters:
         """Return a direct-mode copy; normalized lambda_star is rescaled on data."""
         if self.lambda_ is not None:
             return self
-        lam = effective_lambda(self.lambda_star, self.nu, self.nu_star, data, self.alpha0)
+        lam = effective_lambda_from_counts(self.lambda_star, self.nu, self.nu_star,
+                                           data.user_counts, data.item_counts, self.alpha0)
         return dataclasses.replace(self, lambda_=lam, lambda_star=None)
 
 
@@ -112,7 +118,13 @@ def regularization_weight(count, other_side_size: int, alpha0: float,
 
 def effective_lambda_from_counts(lambda_star: float, nu: float, nu_star: float,
                                  user_counts, item_counts, alpha0: float) -> float:
-    """Rescaled lambda from raw degree profiles (see effective_lambda)."""
+    """Rescale lambda_star from reference exponent nu_star to exponent nu.
+
+    The returned lambda makes the summed per-entity penalty weights of
+    users and items with these interaction counts under nu equal to what
+    lambda_star would give under nu_star, keeping good regularization
+    strengths on one scale while nu varies.
+    """
     user_counts = np.asarray(user_counts)
     item_counts = np.asarray(item_counts)
 
@@ -124,18 +136,6 @@ def effective_lambda_from_counts(lambda_star: float, nu: float, nu_star: float,
     # Same code path for both sums, and the ratio is formed first: when
     # nu == nu_star it is exactly 1.0 and lambda_star passes through bitwise.
     return lambda_star * (mass(nu_star) / mass(nu))
-
-
-def effective_lambda(lambda_star: float, nu: float, nu_star: float,
-                     data: InteractionSet, alpha0: float) -> float:
-    """Rescale lambda_star from reference exponent nu_star to exponent nu.
-
-    The returned lambda makes the summed per-entity penalty weights under
-    nu equal to what lambda_star would give under nu_star, keeping good
-    regularization strengths on one scale while nu varies.
-    """
-    return effective_lambda_from_counts(
-        lambda_star, nu, nu_star, data.user_counts, data.item_counts, alpha0)
 
 
 def solve_entity(history: np.ndarray, alpha_G: np.ndarray,
@@ -160,41 +160,110 @@ def solve_entity(history: np.ndarray, alpha_G: np.ndarray,
     A = history.T @ history
     A += alpha_G
     A.flat[:: d + 1] += lambda_entity
-    return solve_spd(A, history.sum(axis=0))
+    return solve_spd(A, history.sum(axis=0))[0]
 
 
-def solve_entity_block(current: np.ndarray, history: np.ndarray, G: np.ndarray,
-                       alpha0: float, lambda_entity: float, block_size: int) -> np.ndarray:
-    """One cyclic pass of exact block coordinate descent on the entity quadratic.
+@dataclass(frozen=True)
+class BlockSide:
+    """The fixed side of block half-steps and fold-ins, prepared once for all entities.
 
-    Uses the same A, b as solve_entity.  Each contiguous coordinate block
-    is minimized exactly with the other coordinates held at their current
-    values, in order; the fixed point of repeated passes is the
-    solve_entity solution.  Returns a new vector; current is not modified.
-
-    The d x d system is never formed (iALS++): the pass keeps the residual
-    r = 1 - history @ x of each observed row and g = alpha0 * G @ x, so a
-    block costs one b x b system and O(n*b + d*b) updates, and a pass
-    O(n*d*b + d*d + d*b*b).  One block is the closed-form solve_entity.
+    factors are the fixed-side rows and G their Gramian.  blocks holds, for
+    each coordinate block B, (B, alpha0 * G[B, B], lam, Q, factors[:, B] @ Q)
+    with alpha0 * G[B, B] = Q diag(lam) Q'.  blocks is empty when one block
+    covers all d coordinates.
     """
+
+    factors: np.ndarray
+    G: np.ndarray
+    alpha0: float
+    blocks: tuple
+
+
+def block_side(factors: np.ndarray, G: np.ndarray, alpha0: float,
+               block_size: int) -> BlockSide:
+    """One eigh per coordinate block of alpha0 * G and the fixed side rotated into it."""
     d = G.shape[0]
-    history = np.asarray(history, dtype=np.float64).reshape(-1, d)
+    if block_size >= d:
+        return BlockSide(factors, G, alpha0, ())
+    blocks = []
+    for start in range(0, d, block_size):
+        B = slice(start, min(start + block_size, d))
+        alpha_G_BB = alpha0 * G[B, B]
+        lam, Q = np.linalg.eigh(alpha_G_BB)
+        blocks.append((B, alpha_G_BB, lam, Q, factors[:, B] @ Q))
+    return BlockSide(factors, G, alpha0, tuple(blocks))
+
+
+def _woodbury_cheaper(n: int, b: int, passes: int) -> bool:
+    """Whether a b-coordinate block with n observed rows takes fewer flops
+    in the n x n interaction space than as a b x b system, passes included."""
+    cholesky = n * b * b + b ** 3 / 3 + passes * 2 * b * b
+    woodbury = n * n * b + n ** 3 / 3 + passes * (4 * b * b + 4 * n * b + 2 * n * n)
+    return woodbury < cholesky
+
+
+def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
+                       lambda_entity: float, passes: int = 1) -> np.ndarray:
+    """Cyclic passes of exact block coordinate descent on the entity quadratic.
+
+    Uses the same A, b as solve_entity with history = side.factors[partners].
+    Each block of coordinates is minimized exactly with the others held at
+    their current values, in order; the fixed point of repeated passes is
+    the solve_entity solution.  Returns a new vector; current is not
+    modified.  With one block it is the closed-form solve_entity.
+
+    The d x d system is never formed (iALS++): each pass keeps the
+    residuals r = 1 - history @ x and g = alpha0 * G @ x.  Each block
+    system is factored once, on the first pass, and later passes only run
+    triangular solves, so P passes cost O(n*d*b + d*b*b + P*(n*d + d*d)).
+    A block is solved in the interaction space when that takes fewer flops
+    (_woodbury_cheaper, about 0 < n < b): with D = lam + lambda_entity and
+    S = history[:, B] @ Q @ D^-1/2, Woodbury factors the n x n I + S S'
+    instead of the b x b block.  It falls back to the b x b factor when
+    min(D) is tiny against max(D), where D^-1 would magnify rounding.
+    """
+    d = side.G.shape[0]
+    history = side.factors[partners]
     x = np.array(current, dtype=np.float64, copy=True)
     if x.shape != (d,):
         raise InputError(f"current has shape {x.shape}, expected ({d},)")
-    if block_size >= d:
-        return solve_entity(history, alpha0 * G, lambda_entity)
-    r = 1.0 - history @ x
-    g = alpha0 * (G @ x)
-    for start in range(0, d, block_size):
-        B = slice(start, min(start + block_size, d))
-        h = history[:, B]
-        A = h.T @ h + alpha0 * G[B, B]
-        A.flat[:: A.shape[0] + 1] += lambda_entity
-        delta = solve_spd(A, h.T @ r - g[B] - lambda_entity * x[B])
-        x[B] += delta
-        r -= h @ delta
-        g += alpha0 * (G[:, B] @ delta)
+    if not side.blocks:
+        return solve_entity(history, side.alpha0 * side.G, lambda_entity)
+    n = history.shape[0]
+    # per block: the Cholesky factor, and (S, D^-1/2) on the n x n path
+    chol = [None] * len(side.blocks)
+    woodbury = [None] * len(side.blocks)
+    for _ in range(passes):
+        r = 1.0 - history @ x
+        g = side.alpha0 * (side.G @ x)
+        for k, (B, alpha_G_BB, lam, Q, rotated) in enumerate(side.blocks):
+            h = history[:, B]
+            rhs = h.T @ r - g[B] - lambda_entity * x[B]
+            if chol[k] is None:
+                D = lam + lambda_entity
+                if (n and _woodbury_cheaper(n, lam.size, passes)
+                        and D.min() > _WOODBURY_MIN_RATIO * D.max()):
+                    scale = 1.0 / np.sqrt(D)
+                    S = rotated[partners] * scale
+                    woodbury[k] = S, scale
+                    A = S @ S.T
+                    A.flat[:: n + 1] += 1.0
+                else:
+                    A = h.T @ h + alpha_G_BB
+                    A.flat[:: A.shape[0] + 1] += lambda_entity
+            if woodbury[k] is not None:
+                S, scale = woodbury[k]
+                u = (Q.T @ rhs) * scale
+                rhs = S @ u
+            if chol[k] is None:
+                delta, chol[k] = solve_spd(A, rhs)
+            else:
+                delta = dpotrs(chol[k], rhs, lower=1)[0]
+            if woodbury[k] is not None:
+                delta = Q @ ((u - S.T @ delta) * scale)
+            x[B] += delta
+            r -= h @ delta
+            g += side.alpha0 * (side.G[:, B] @ delta)
     return x
 
 
@@ -206,16 +275,19 @@ def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
     never reaches a saved model.
     """
     G = gramian(fixed)
-    alpha_G = hp.alpha0 * G
     lams = regularization_weight(np.diff(ptr), fixed.shape[0], hp.alpha0, hp.nu, hp.lambda_)
+    if hp.solver == "block":
+        prepared = block_side(fixed, G, hp.alpha0, hp.block_size)
+    else:
+        alpha_G = hp.alpha0 * G
     with blas_threads(1):
         for e in range(factors.shape[0]):
-            rows = fixed[partners[ptr[e]:ptr[e + 1]]]
             if hp.solver == "block":
-                factors[e] = solve_entity_block(factors[e], rows, G,
-                                                hp.alpha0, lams[e], hp.block_size)
+                factors[e] = solve_entity_block(factors[e], partners[ptr[e]:ptr[e + 1]],
+                                                prepared, lams[e])
             else:
-                factors[e] = solve_entity(rows, alpha_G, lams[e])
+                factors[e] = solve_entity(fixed[partners[ptr[e]:ptr[e + 1]]],
+                                          alpha_G, lams[e])
     bad = np.count_nonzero(~np.isfinite(factors))
     if bad:
         raise IalsError(f"{side} half-step produced {bad} non-finite factor entries")
@@ -266,13 +338,15 @@ def compute_losses(model: FactorModel, data: InteractionSet,
                       L_S=loss_s, L_I=loss_i, R=reg)
 
 
-def project_user(history_items, H: np.ndarray, G_H: np.ndarray,
-                 hp: Hyperparameters) -> np.ndarray:
+def project_user(history_items, side: BlockSide, hp: Hyperparameters) -> np.ndarray:
     """Fold-in: embedding for an unseen user from their item history.
 
-    Exact solver: the closed-form solve, identical to a training user
-    whose item set equals history_items.  Block solver: projection_repeats
-    cyclic block passes starting from the zero vector.
+    side is block_side(H, gramian(H), ...) of the item factors H, built once
+    for every user folded in against them.  Exact solver: the closed-form
+    solve, identical to a training user whose item set equals
+    history_items.  Block solver: projection_repeats block passes from the
+    zero vector, which factor each block once and then only run triangular
+    solves (see solve_entity_block).
 
     hp must be in direct mode (resolve against the training set first);
     there is no dataset here to derive a normalized lambda from.
@@ -281,16 +355,13 @@ def project_user(history_items, H: np.ndarray, G_H: np.ndarray,
         raise InputError("project_user needs direct-mode hyperparameters; "
                          "call hp.resolve(train_data) first")
     history_items = np.asarray(history_items, dtype=np.int64)
-    rows = H[history_items]
-    lam = regularization_weight(history_items.size, H.shape[0],
+    lam = regularization_weight(history_items.size, side.factors.shape[0],
                                 hp.alpha0, hp.nu, hp.lambda_)
     with blas_threads(1):
         if hp.solver == "block":
-            x = np.zeros(G_H.shape[0])
-            for _ in range(hp.projection_repeats):
-                x = solve_entity_block(x, rows, G_H, hp.alpha0, lam, hp.block_size)
-            return x
-        return solve_entity(rows, hp.alpha0 * G_H, lam)
+            return solve_entity_block(np.zeros(side.G.shape[0]), history_items, side, lam,
+                                      passes=hp.projection_repeats)
+        return solve_entity(side.factors[history_items], hp.alpha0 * side.G, lam)
 
 
 def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ials import InteractionSet
+from ials.dataset import InteractionSet
 
 import oracles
 

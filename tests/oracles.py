@@ -83,7 +83,28 @@ def block_pass_dense(current, history, G, alpha0, lambda_entity, block_size):
         # rhs = b_B - A[B, outside] @ x[outside]; adding back the in-block
         # product avoids materializing the complement index set.
         rhs = b[start:end] - A[start:end] @ x + A[start:end, start:end] @ x[start:end]
-        x[start:end] = solve_spd(A[start:end, start:end], rhs)
+        x[start:end] = solve_spd(A[start:end, start:end], rhs)[0]
+    return x
+
+
+def block_pass(current, history, G, alpha0, lambda_entity, block_size):
+    """One cyclic block pass that assembles and factors every b x b block
+    afresh and carries the residuals r = 1 - history @ x and g = alpha0 * G @ x
+    across blocks: the kernel's Cholesky path, one pass at a time."""
+    d = G.shape[0]
+    history = np.asarray(history, dtype=np.float64).reshape(-1, d)
+    x = np.array(current, dtype=np.float64, copy=True)
+    r = 1.0 - history @ x
+    g = alpha0 * (G @ x)
+    for start in range(0, d, block_size):
+        B = slice(start, min(start + block_size, d))
+        h = history[:, B]
+        A = h.T @ h + alpha0 * G[B, B]
+        A.flat[:: A.shape[0] + 1] += lambda_entity
+        delta = solve_spd(A, h.T @ r - g[B] - lambda_entity * x[B])[0]
+        x[B] += delta
+        r -= h @ delta
+        g += alpha0 * (G[:, B] @ delta)
     return x
 
 

@@ -15,21 +15,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ials import (
-    Hyperparameters,
-    compute_losses,
-    effective_lambda,
-    effective_lambda_from_counts,
+from ials.dataset import load_leave_one_out, load_strong_generalization
+from ials.linalg import gramian
+from ials.metrics import (
     evaluate_sampled,
     evaluate_strong_generalization,
-    gramian,
     hit_rate_at_k,
-    init_model,
-    load_leave_one_out,
-    load_strong_generalization,
     ndcg_at_k,
-    project_user,
     recall_at_k,
+)
+from ials.model import RankedList, init_model
+from ials.solver import (
+    Hyperparameters,
+    block_side,
+    compute_losses,
+    effective_lambda_from_counts,
+    project_user,
     regularization_weight,
     solve_entity,
     solve_entity_block,
@@ -37,7 +38,6 @@ from ials import (
     update_items,
     update_users,
 )
-from ials.model import RankedList
 
 import oracles
 from conftest import make_interactions
@@ -227,7 +227,8 @@ def test_criterion_08_lambda_star_normalization():
         nu = float(rng.uniform(0.0, 1.0))
         lambda_star = float(rng.uniform(1e-4, 1.0))
         alpha0 = float(rng.uniform(0.0, 1.0))
-        assert effective_lambda(lambda_star, nu, nu, data, alpha0) == lambda_star
+        assert effective_lambda_from_counts(lambda_star, nu, nu, data.user_counts,
+                                            data.item_counts, alpha0) == lambda_star
 
     # hand-computed ratio on the two-user / two-item degree profile:
     # masses are 2+2 = 4 at nu* = 0 and (1+3)+(1+3) = 8 at nu = 1
@@ -246,16 +247,18 @@ def test_criterion_09_block_solver_equivalence():
         d = int(rng.integers(4, 17))
         n = int(rng.integers(40, 101))
         H = rng.standard_normal((n, d)) * (0.1 / np.sqrt(d))
-        hist = H[rng.choice(n, size=int(rng.integers(5, n // 2)), replace=False)]
+        obs = rng.choice(n, size=int(rng.integers(5, n // 2)), replace=False)
+        hist = H[obs]
         alpha0 = float(rng.choice([0.1, 0.3]))
         lam = float(rng.uniform(0.01, 0.05))
         block = int(rng.choice([1, 3, 5, 8]))
         G = gramian(H)
+        side = block_side(H, G, alpha0, block)
         exact = solve_entity(hist, alpha0 * G, lam)
         scale = float(np.linalg.norm(exact))
         x = np.zeros(d)
         for sweep in range(100):
-            x = solve_entity_block(x, hist, G, alpha0, lam, block)
+            x = solve_entity_block(x, obs, side, lam)
             if sweep == 7:
                 worst_eight = max(worst_eight,
                                   float(np.linalg.norm(x - exact)) / scale)
@@ -274,10 +277,12 @@ def test_criterion_09_block_solver_equivalence():
         base = dict(dim=d, alpha0=float(rng.choice([0.1, 0.3])),
                     lambda_=float(rng.uniform(0.01, 0.05)),
                     nu=float(rng.choice([0.0, 1.0])))
-        direct = project_user(history, H, G, Hyperparameters(**base))
-        blocked = project_user(history, H, G, Hyperparameters(
-            **base, solver="block", block_size=int(rng.choice([1, 3, 5])),
-            projection_repeats=8))
+        block = int(rng.choice([1, 3, 5]))
+        direct = project_user(history, block_side(H, G, base["alpha0"], d),
+                              Hyperparameters(**base))
+        blocked = project_user(history, block_side(H, G, base["alpha0"], block),
+                               Hyperparameters(**base, solver="block", block_size=block,
+                                               projection_repeats=8))
         worst_proj = max(worst_proj,
                          float(np.linalg.norm(blocked - direct))
                          / float(np.linalg.norm(direct)))

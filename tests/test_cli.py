@@ -12,9 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ials.cli as cli
-from ials import Hyperparameters, IalsError
 from ials.cli import main
 from ials.dataset import LOO_FILES, STRONG_GEN_FILES
+from ials.errors import IalsError
+from ials.solver import Hyperparameters
 
 
 def write_raw(path, rng, n_users=20, n_items=12, min_deg=5, max_deg=8,
@@ -84,6 +85,7 @@ class TestSplitCommand:
         ["--protocol", "loo", "--negatives", "-1"],
         ["--protocol", "loo", "--negatives", "0"],
         ["--protocol", "strong-gen", "--holdout-users", "5", "--validation-users", "-2"],
+        ["--protocol", "loo", "--seed", "-1"],
     ])
     def test_bad_split_size_is_input_error(self, tmp_path, raw_file, capsys, argv):
         out = tmp_path / "split"
@@ -460,6 +462,16 @@ class TestBrokenSplitDir:
         assert rc == 2
         assert f"{name}: no rows" in caplog.text
 
+    @pytest.mark.parametrize("name", ["validation_fold_in.csv", "validation_target.csv"])
+    def test_half_present_validation_files(self, tmp_path, raw_file, caplog, name):
+        sg = make_strong_gen_dir(tmp_path, raw_file)
+        (sg / name).unlink()
+        rc = main(["train", "--split-dir", str(sg), "--protocol", "strong-gen",
+                   "--out", str(tmp_path / "run"), *TRAIN_FLAGS])
+        assert rc == 2
+        assert f"missing {name}" in caplog.text
+        assert not list((tmp_path / "run").glob("model-*"))
+
     @pytest.mark.parametrize("name", ["test_holdout.csv", "test_negatives.csv"])
     def test_duplicate_user_row(self, tmp_path, raw_file, caplog, name):
         loo = make_loo_dir(tmp_path, raw_file)
@@ -656,6 +668,21 @@ class TestSweepCommand:
         assert "hr@4" in rows[0] and "ndcg@4" in rows[0]
         assert "best:" in capsys.readouterr().out
 
+    def test_loo_grid_skips_users_too_sparse_for_inner_split(self, tmp_path, raw_file,
+                                                             caplog):
+        # two raw interactions: one is the outer holdout, one stays in train
+        with open(raw_file, "a", encoding="utf-8") as fh:
+            fh.write("sparse,item0,5.0,90000\nsparse,item1,4.0,90001\n")
+        loo = make_loo_dir(tmp_path, raw_file)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--split-dir", str(loo), "--protocol", "loo",
+                   "--out", str(out), "--alpha0-grid", "0.1",
+                   "--lambda-grid", "0.02", "--dim", "2",
+                   "--iterations", "2", "--ndcg-ks", "4"])
+        assert rc == 0
+        assert [r["status"] for r in read_csv(out)] == ["ok"]
+        assert "skips 1 user" in caplog.text
+
     def test_normalized_grid_column_name(self, tmp_path, raw_file):
         sg = make_strong_gen_dir(tmp_path, raw_file)
         out = tmp_path / "sweep.csv"
@@ -723,3 +750,65 @@ class TestSweepCommand:
                    "--lambda-grid", "0.02", *SWEEP_BASE])
         assert rc == 1
         assert all(r["status"].startswith("error:") for r in read_csv(out))
+
+
+def _option_names(command: str) -> list[str]:
+    """Every option of a subcommand, as its dest and as its flag name."""
+    sub = cli.make_parser()._subparsers._group_actions[0].choices[command]
+    names = set()
+    for a in sub._actions:
+        if a.option_strings and a.dest not in ("help", "config"):
+            names |= {a.dest, a.option_strings[0].lstrip("-")}
+    return sorted(names)
+
+
+JUNK_KEYS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_-", min_size=1, max_size=8)
+# Numbers stay small so that no drawn dim, iteration or repeat count makes
+# a run slow; text has no digits for the same reason.  Zero is left out: a
+# zero L2 weight beside a zero alpha0 or init scale is an unsolvable system,
+# which exits 1 by design (test_unsolvable_system_is_runtime_error).
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["-2", "-1", "1", "2", "3", "6"]),
+    st.sampled_from(["0.05", "0.5", "-1.0", "1e-3", "nan", "inf", "", "true", "off",
+                     "exact", "block", "loo", "strong-gen", "test", "validation",
+                     "1,2", "0.1,0.3", "3,x"]),
+    st.text(alphabet="abcxyz-_ ,.", max_size=6),
+)
+# A working config of each command; the fuzz test overrides or adds keys.
+CONFIG_BASE = {
+    "split": {"holdout_users": "3", "validation_users": "2", "negatives": "4"},
+    "train": {"dim": "3", "alpha0": "0.2", "lambda": "0.02", "iterations": "2"},
+    "evaluate": {"alpha0": "0.2", "lambda": "0.02"},
+    "sweep": {"dim": "2", "iterations": "1", "alpha0_grid": "0.1", "lambda_grid": "0.02",
+              "ndcg_ks": "4", "recall_ks": "3"},
+}
+
+
+class TestConfigFuzz:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(CONFIG_BASE)),
+           protocol=st.sampled_from(["loo", "strong-gen"]), data=st.data())
+    def test_random_config_exits_0_or_2(self, trained_splits, capsys, command,
+                                        protocol, data):
+        names = st.sampled_from(_option_names(command))
+        extra = data.draw(st.dictionaries(st.one_of(names, names, JUNK_KEYS),
+                                          CONFIG_VALUES, max_size=2))
+        split_dir, model = trained_splits[protocol]
+        config = {"protocol": protocol, **CONFIG_BASE[command], **extra}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.cfg"
+            path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+            argv = [command, "--config", str(path), "--out", str(Path(tmp) / "out")]
+            if command == "split":
+                argv += ["--data", str(split_dir.parent.parent / "raw.csv")]
+            else:
+                argv += ["--split-dir", str(split_dir)]
+            if command == "evaluate":
+                argv += ["--model", str(model)]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2), (argv, config)
+        assert "Traceback" not in capsys.readouterr().err

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ials
-from ials import (
+import ials.dataset
+from ials.dataset import (
     EmptyDataset,
-    InputError,
     InsufficientUsers,
     InteractionSet,
     ParseError,
@@ -22,6 +21,7 @@ from ials import (
     load_interactions,
     strong_generalization_split,
 )
+from ials.errors import InputError
 from conftest import make_interactions
 import oracles
 
@@ -301,6 +301,16 @@ class TestLeaveOneOutSplit:
             leave_one_out_split(data, n_negatives=1, seed=0)
         assert 0 in exc_info.value.users and 1 in exc_info.value.users
 
+    def test_skip_sparse_users_keeps_their_train_rows(self):
+        data = InteractionSet.from_pairs([0, 1, 1, 2, 2], [0, 1, 2, 0, 3], num_items=6)
+        split = leave_one_out_split(data, n_negatives=2, seed=0, skip_sparse_users=True)
+        assert split.users.tolist() == [1, 2]
+        assert split.holdout.shape == (2,) and split.negatives.shape == (2, 2)
+        assert split.train.items_of(0).tolist() == [0]
+        for u, held in zip(split.users, split.holdout):
+            assert held not in split.train.items_of(u)
+            assert split.train.items_of(u).size == 1
+
     def test_deterministic(self, rng):
         data = make_interactions(rng, n_users=15, n_items=12, min_deg=2, max_deg=5)
         a = leave_one_out_split(data, n_negatives=3, seed=9)
@@ -314,11 +324,11 @@ class TestSplitDirIO:
         data = make_interactions(rng, n_users=25, n_items=10, min_deg=5)
         val, test = strong_generalization_split(data, 5, 3, seed=4)
         out = tmp_path / "sg"
-        ials.save_strong_generalization(out, val, test)
+        ials.dataset.save_strong_generalization(out, val, test)
         for name in ials.dataset.STRONG_GEN_FILES:
             assert (out / name).exists()
 
-        val2, test2 = ials.load_strong_generalization(out)
+        val2, test2 = ials.dataset.load_strong_generalization(out)
         assert np.array_equal(test2.train.user_items, test.train.user_items)
         assert [hu.user for hu in val2.users] == sorted(hu.user for hu in val.users)
         by_user = {hu.user: hu for hu in test.users}
@@ -330,8 +340,8 @@ class TestSplitDirIO:
         data = make_interactions(rng, n_users=10, n_items=12, min_deg=2, max_deg=6)
         split = leave_one_out_split(data, n_negatives=5, seed=6)
         out = tmp_path / "loo"
-        ials.save_leave_one_out(out, split)
-        loaded = ials.load_leave_one_out(out)
+        ials.dataset.save_leave_one_out(out, split)
+        loaded = ials.dataset.load_leave_one_out(out)
         assert np.array_equal(loaded.users, split.users)
         assert np.array_equal(loaded.holdout, split.holdout)
         assert np.array_equal(loaded.negatives, split.negatives)
@@ -341,7 +351,7 @@ class TestSplitDirIO:
         data = make_interactions(rng, n_users=25, n_items=10, min_deg=5)
         for sub in ("a", "b"):
             val, test = strong_generalization_split(data, 5, 3, seed=4)
-            ials.save_strong_generalization(tmp_path / sub, val, test)
+            ials.dataset.save_strong_generalization(tmp_path / sub, val, test)
         for name in ials.dataset.STRONG_GEN_FILES:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
@@ -349,26 +359,26 @@ class TestSplitDirIO:
     def test_missing_test_files(self, tmp_path):
         (tmp_path / "train.csv").write_text("0,0\n")
         with pytest.raises(InputError):
-            ials.load_strong_generalization(tmp_path)
+            ials.dataset.load_strong_generalization(tmp_path)
 
     def test_loo_user_mismatch(self, tmp_path):
         (tmp_path / "train.csv").write_text("0,0\n1,1\n")
         (tmp_path / "test_holdout.csv").write_text("0,1\n")
         (tmp_path / "test_negatives.csv").write_text("1,0\n")
         with pytest.raises(InputError):
-            ials.load_leave_one_out(tmp_path)
+            ials.dataset.load_leave_one_out(tmp_path)
 
     def test_ragged_negatives(self, tmp_path):
         (tmp_path / "train.csv").write_text("0,0\n1,0\n")
         (tmp_path / "test_holdout.csv").write_text("0,1\n1,2\n")
         (tmp_path / "test_negatives.csv").write_text("0,2,3\n1,2\n")
         with pytest.raises(InputError):
-            ials.load_leave_one_out(tmp_path)
+            ials.dataset.load_leave_one_out(tmp_path)
 
     def test_id_maps_written(self, rng, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("a,x,5,1\nb,y,4,2\n")
-        data = ials.load_interactions(path)
+        data = ials.dataset.load_interactions(path)
         ials.dataset.write_id_maps(tmp_path, data)
         lines = (tmp_path / "user_map.csv").read_text().splitlines()
         assert lines == ["a,0", "b,1"]
@@ -410,9 +420,9 @@ def raw_files(draw):
 def _load_or_error(load, path, kwargs):
     try:
         return load(path, **kwargs)
-    except ials.ParseError as exc:
+    except ials.dataset.ParseError as exc:
         return ("ParseError", re.search(r"line (\d+)", str(exc)).group(1))
-    except ials.EmptyDataset:
+    except ials.dataset.EmptyDataset:
         return ("EmptyDataset",)
 
 
@@ -504,8 +514,8 @@ class TestWritersMatchOracle:
         loo = leave_one_out_split(data, n_negatives=5, seed=seed)
         val, test = strong_generalization_split(data, 5, seed, seed=seed)  # seed 0: no validation users
         with mock.patch.object(ials.dataset, "_BLOCK_FIELDS", block):
-            ials.save_leave_one_out(tmp_path / "new_loo", loo)
-            ials.save_strong_generalization(tmp_path / "new_sg", val, test)
+            ials.dataset.save_leave_one_out(tmp_path / "new_loo", loo)
+            ials.dataset.save_strong_generalization(tmp_path / "new_sg", val, test)
             ials.dataset.write_id_maps(tmp_path / "new_sg", data)
         oracles.save_leave_one_out_lines(tmp_path / "old_loo", loo)
         oracles.save_strong_generalization_lines(tmp_path / "old_sg", val, test)

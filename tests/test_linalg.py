@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrs
 
 import ials.linalg
-from ials import NotPositiveDefinite, gramian, solve_spd
-from ials.linalg import blas_threads, cholesky
+from ials.linalg import NotPositiveDefinite, blas_threads, cholesky, gramian, solve_spd
 
 
 class TestGramian:
@@ -48,16 +48,16 @@ class TestSolveSpd:
             G = gramian(rng.standard_normal((d + 2, d)))
             A = G + 0.01 * np.eye(d)
             b = rng.standard_normal(d)
-            x = solve_spd(A, b)
+            x, _ = solve_spd(A, b)
             assert np.linalg.norm(A @ x - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
 
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.0])
-        assert np.allclose(solve_spd(np.eye(3), b), b)
+        assert np.allclose(solve_spd(np.eye(3), b)[0], b)
 
     def test_diagonal(self):
         A = np.diag([2.0, 4.0])
-        x = solve_spd(A, np.array([2.0, 2.0]))
+        x, _ = solve_spd(A, np.array([2.0, 2.0]))
         assert np.allclose(x, [1.0, 0.5])
 
     def test_jitter_rescues_near_singular(self):
@@ -65,7 +65,7 @@ class TestSolveSpd:
         # but the jittered retries must produce a finite solution
         v = np.array([1.0, 1.0, 1.0])
         A = np.outer(v, v) + 1e-14 * np.eye(3)
-        x = solve_spd(A, v)
+        x, _ = solve_spd(A, v)
         assert np.all(np.isfinite(x))
 
     def test_rejects_indefinite(self):
@@ -91,6 +91,13 @@ class TestSolveSpd:
         except NotPositiveDefinite:
             pass
         assert len(seen) == calls
+
+    def test_factor_solves_further_right_hand_sides(self, rng):
+        A = gramian(rng.standard_normal((6, 4))) + np.eye(4)
+        _, L = solve_spd(A, rng.standard_normal(4))
+        b = rng.standard_normal(4)
+        assert np.array_equal(dpotrs(L, b, lower=1)[0], solve_spd(A, b)[0])
+        assert np.allclose(np.tril(L) @ np.tril(L).T, A, rtol=1e-12, atol=1e-12)
 
     def test_input_not_mutated(self, rng):
         A = gramian(rng.standard_normal((6, 4))) + np.eye(4)

@@ -5,22 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ials import (
-    DimensionMismatch,
+from ials.dataset import leave_one_out_split, strong_generalization_split
+from ials.errors import DimensionMismatch
+from ials.metrics import (
     EmptyRelevantSet,
-    FactorModel,
-    Hyperparameters,
-    RankedList,
     evaluate_sampled,
     evaluate_strong_generalization,
     hit_rate_at_k,
-    init_model,
-    leave_one_out_split,
     ndcg_at_k,
     recall_at_k,
-    strong_generalization_split,
-    train,
 )
+from ials.model import FactorModel, RankedList, init_model
+from ials.solver import Hyperparameters, train
 
 import oracles
 from conftest import make_interactions
@@ -282,6 +278,6 @@ class TestEvaluateSampled:
 
 class TestMetricReport:
     def test_json_dict_flat(self):
-        from ials import MetricReport
+        from ials.metrics import MetricReport
         report = MetricReport(means={"hr@10": 0.5, "ndcg@10": 0.25}, n_users=7)
         assert report.to_json_dict() == {"hr@10": 0.5, "ndcg@10": 0.25, "n_users": 7}

@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ials import (
-    DimensionMismatch,
-    FactorModel,
-    InputError,
-    init_model,
-    load_model,
-    rank_items,
-    save_model,
-)
+from ials.errors import DimensionMismatch, InputError
+from ials.model import FactorModel, init_model, load_model, rank_items, save_model
 
 import oracles
 

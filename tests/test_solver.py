@@ -5,17 +5,15 @@ import pytest
 
 import ials.linalg
 import ials.solver
-from ials import (
-    FactorModel,
+from ials.dataset import InteractionSet
+from ials.errors import IalsError, InputError
+from ials.linalg import gramian
+from ials.model import FactorModel, init_model
+from ials.solver import (
     Hyperparameters,
-    IalsError,
-    InputError,
-    InteractionSet,
+    block_side,
     compute_losses,
-    effective_lambda,
     effective_lambda_from_counts,
-    gramian,
-    init_model,
     project_user,
     regularization_weight,
     solve_entity,
@@ -85,7 +83,8 @@ class TestHyperparameters:
         hp = Hyperparameters(dim=2, alpha0=0.1, lambda_star=0.05, nu=0.5, nu_star=1.0)
         resolved = hp.resolve(small_data)
         assert resolved.lambda_ is not None
-        expected = effective_lambda(0.05, 0.5, 1.0, small_data, 0.1)
+        expected = effective_lambda_from_counts(0.05, 0.5, 1.0, small_data.user_counts,
+                                                small_data.item_counts, 0.1)
         assert resolved.lambda_ == expected
 
 
@@ -125,11 +124,13 @@ class TestEffectiveLambda:
             nu = float(rng.uniform(0, 1))
             lam_star = float(rng.uniform(1e-4, 1.0))
             alpha0 = float(rng.uniform(0, 1))
-            assert effective_lambda(lam_star, nu, nu, data, alpha0) == lam_star
+            assert effective_lambda_from_counts(lam_star, nu, nu, data.user_counts,
+                                                data.item_counts, alpha0) == lam_star
 
     def test_single_pair_example(self):
         data = InteractionSet.from_pairs([0], [0])
-        assert effective_lambda(0.3, 1.0, 0.0, data, 0.0) == pytest.approx(0.3)
+        assert effective_lambda_from_counts(0.3, 1.0, 0.0, data.user_counts,
+                                            data.item_counts, 0.0) == pytest.approx(0.3)
 
     def test_hand_computed_ratio_exact(self):
         # degree profiles {1,3} / {1,3}: mass 4 at exponent 0, 8 at exponent 1
@@ -138,7 +139,8 @@ class TestEffectiveLambda:
 
     def test_counts_and_dataset_paths_agree(self, rng):
         data = make_interactions(rng, n_users=12, n_items=8)
-        a = effective_lambda(0.02, 0.3, 1.0, data, 0.25)
+        a = Hyperparameters(dim=2, alpha0=0.25, lambda_star=0.02, nu=0.3,
+                            nu_star=1.0).resolve(data).lambda_
         b = effective_lambda_from_counts(0.02, 0.3, 1.0, data.user_counts,
                                          data.item_counts, 0.25)
         assert a == b
@@ -174,34 +176,37 @@ class TestSolveEntityBlock:
         # diagonal (regularizer included) dominates the coupling
         H = rng.standard_normal((n, d)) * (0.1 / np.sqrt(d))
         obs = rng.choice(n, size=max(1, n // 2), replace=False)
-        return H[obs], gramian(H), 0.2, 0.01
+        return H, obs, gramian(H), 0.2, 0.01
 
     def test_single_block_equals_exact(self, rng):
-        history, G, alpha0, lam = self._instance(rng, d=5)
-        exact = solve_entity(history, alpha0 * G, lam)
-        one_pass = solve_entity_block(np.zeros(5), history, G, alpha0, lam, block_size=5)
+        H, obs, G, alpha0, lam = self._instance(rng, d=5)
+        exact = solve_entity(H[obs], alpha0 * G, lam)
+        one_pass = solve_entity_block(np.zeros(5), obs, block_side(H, G, alpha0, 5), lam)
         assert np.array_equal(one_pass, exact)
-        bigger = solve_entity_block(np.zeros(5), history, G, alpha0, lam, block_size=9)
+        bigger = solve_entity_block(np.zeros(5), obs, block_side(H, G, alpha0, 9), lam)
         assert np.array_equal(bigger, exact)
 
     def test_repeated_passes_reach_fixed_point(self, rng):
-        history, G, alpha0, lam = self._instance(rng, d=8)
-        exact = solve_entity(history, alpha0 * G, lam)
+        H, obs, G, alpha0, lam = self._instance(rng, d=8)
+        exact = solve_entity(H[obs], alpha0 * G, lam)
+        side = block_side(H, G, alpha0, 3)
         x = np.zeros(8)
         for _ in range(50):
-            x = solve_entity_block(x, history, G, alpha0, lam, block_size=3)
+            x = solve_entity_block(x, obs, side, lam)
         assert np.all(np.abs(x - exact) <= 1e-8)
 
     def test_current_not_mutated(self, rng):
-        history, G, alpha0, lam = self._instance(rng, d=6)
+        H, obs, G, alpha0, lam = self._instance(rng, d=6)
         x0 = np.ones(6)
         keep = x0.copy()
-        solve_entity_block(x0, history, G, alpha0, lam, block_size=2)
+        solve_entity_block(x0, obs, block_side(H, G, alpha0, 2), lam)
         assert np.array_equal(x0, keep)
 
     def test_objective_decreases_per_pass(self, rng):
         # exact block minimization cannot increase the quadratic
-        history, G, alpha0, lam = self._instance(rng, d=7)
+        H, obs, G, alpha0, lam = self._instance(rng, d=7)
+        history = H[obs]
+        side = block_side(H, G, alpha0, 2)
 
         def quad(x):
             A = history.T @ history + alpha0 * G + lam * np.eye(7)
@@ -211,7 +216,7 @@ class TestSolveEntityBlock:
         x = np.zeros(7)
         prev = quad(x)
         for _ in range(10):
-            x = solve_entity_block(x, history, G, alpha0, lam, block_size=2)
+            x = solve_entity_block(x, obs, side, lam)
             now = quad(x)
             assert now <= prev + 1e-12 * max(1.0, abs(prev))
             prev = now
@@ -232,10 +237,83 @@ class TestSolveEntityBlock:
             G = gramian(H)
             alpha0, lam = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.01, 0.5))
             current = rng.standard_normal(d) if start == "random" else np.zeros(d)
-            got = solve_entity_block(current, history, G, alpha0, lam, block_size)
+            got = solve_entity_block(current, np.arange(n), block_side(H, G, alpha0, block_size),
+                                     lam)
             ref = oracles.block_pass_dense(current, history, G, alpha0, lam, block_size)
             scale = max(np.abs(ref).max(), np.abs(current).max())
             assert np.abs(got - ref).max() <= 1e-10 * scale
+
+
+class TestBlockKernel:
+    """Cached block factors and interaction-space (Woodbury) blocks."""
+
+    @staticmethod
+    def spy_sizes(monkeypatch):
+        """Record the size of every system solve_entity_block factors."""
+        sizes = []
+        real = ials.solver.solve_spd
+
+        def spy(A, b):
+            sizes.append(A.shape[0])
+            return real(A, b)
+        monkeypatch.setattr(ials.solver, "solve_spd", spy)
+        return sizes
+
+    @pytest.mark.parametrize("d,b,n,m,alpha0,lam,passes,path", [
+        (12, 4, 30, 40, 0.3, 0.05, 1, "cholesky"),   # n >= b
+        (12, 4, 30, 40, 0.3, 0.05, 8, "cholesky"),
+        (48, 16, 5, 40, 0.3, 0.05, 1, "woodbury"),   # n < b/2
+        (128, 64, 5, 150, 0.3, 0.05, 8, "woodbury"),
+        (48, 16, 10, 40, 0.3, 0.05, 1, "woodbury"),  # n >= b/2, one pass
+        (48, 16, 10, 40, 0.3, 0.05, 8, "cholesky"),  # n >= b/2, eight passes
+        (48, 16, 5, 40, 0.0, 0.05, 2, "woodbury"),   # alpha0 = 0: D = lambda
+        (48, 16, 5, 6, 0.3, 0.05, 2, "woodbury"),    # rank-deficient G
+        (48, 16, 5, 6, 0.3, 0.0, 2, "cholesky"),     # and lambda = 0: min(D) = 0
+        (48, 16, 5, 40, 0.0, 0.0, 2, "cholesky"),    # alpha0 = lambda = 0: D = 0
+        (48, 16, 0, 40, 0.3, 0.05, 2, "cholesky"),   # n = 0
+        (40, 16, 3, 40, 0.3, 0.05, 1, "woodbury"),   # last block of 8
+    ])
+    def test_matches_oracle_passes(self, rng, monkeypatch, d, b, n, m, alpha0, lam,
+                                   passes, path):
+        sizes = self.spy_sizes(monkeypatch)
+        for _ in range(3):
+            H = rng.standard_normal((max(m, n), d)) * (0.5 / np.sqrt(d))
+            G = gramian(H[:m])
+            partners = rng.choice(H.shape[0], size=n, replace=False)
+            current = rng.standard_normal(d)
+            got = solve_entity_block(current, partners, block_side(H, G, alpha0, b), lam,
+                                     passes)
+            ref = current
+            for _ in range(passes):
+                ref = oracles.block_pass(ref, H[partners], G, alpha0, lam, b)
+            if path == "cholesky":
+                assert np.array_equal(got, ref)
+            else:
+                dense = current
+                for _ in range(passes):
+                    dense = oracles.block_pass_dense(dense, H[partners], G, alpha0, lam, b)
+                scale = max(np.abs(dense).max(), np.abs(current).max())
+                assert np.abs(got - dense).max() <= 1e-10 * scale
+                assert np.abs(got - ref).max() <= 1e-10 * scale
+        block_sizes = [min(b, d - start) for start in range(0, d, b)]
+        assert sizes == (block_sizes if path == "cholesky" else [n] * len(block_sizes)) * 3
+
+    def test_fold_in_factors_each_block_once(self, rng, monkeypatch):
+        # every block takes the b x b path: bitwise equal to the repeated pass
+        sizes = self.spy_sizes(monkeypatch)
+        d, block_size, repeats = 12, 4, 8
+        H = rng.standard_normal((40, d)) * (0.1 / np.sqrt(d))
+        G = gramian(H)
+        hp = hp_direct(dim=d, solver="block", block_size=block_size,
+                       projection_repeats=repeats)
+        items = rng.choice(40, size=25, replace=False)
+        lam = regularization_weight(items.size, 40, hp.alpha0, hp.nu, hp.lambda_)
+        ref = np.zeros(d)
+        for _ in range(repeats):
+            ref = oracles.block_pass(ref, H[items], G, hp.alpha0, lam, block_size)
+        got = project_user(items, block_side(H, G, hp.alpha0, block_size), hp)
+        assert np.array_equal(got, ref)
+        assert sizes == [block_size] * (d // block_size)
 
 
 class TestUpdates:
@@ -391,29 +469,30 @@ class TestProjectUser:
         update_items(model, small_data, hp)
         update_users(model, small_data, hp)
         H = model.item_factors
-        G = gramian(H)
+        side = block_side(H, gramian(H), hp.alpha0, hp.dim)
         for u in range(small_data.num_users):
-            w = project_user(small_data.items_of(u), H, G, hp)
+            w = project_user(small_data.items_of(u), side, hp)
             assert np.array_equal(w, model.user_factors[u])
 
     def test_empty_history_zero(self, rng):
         H = rng.standard_normal((5, 3))
-        w = project_user(np.array([], dtype=np.int64), H, gramian(H), hp_direct())
+        w = project_user(np.array([], dtype=np.int64), block_side(H, gramian(H), 0.1, 3),
+                         hp_direct())
         assert np.array_equal(w, np.zeros(3))
 
     def test_requires_direct_mode(self, rng):
         H = rng.standard_normal((5, 3))
         hp = Hyperparameters(dim=3, alpha0=0.1, lambda_star=0.01)
         with pytest.raises(InputError):
-            project_user(np.array([0, 1]), H, gramian(H), hp)
+            project_user(np.array([0, 1]), block_side(H, gramian(H), 0.1, 3), hp)
 
     def test_block_projection_close_to_exact(self, rng):
         for _ in range(10):
             H = rng.standard_normal((40, 8)) * (0.1 / np.sqrt(8))
             G = gramian(H)
             items = rng.choice(40, size=10, replace=False)
-            exact = project_user(items, H, G, hp_direct(dim=8))
-            blocked = project_user(items, H, G,
+            exact = project_user(items, block_side(H, G, 0.1, 8), hp_direct(dim=8))
+            blocked = project_user(items, block_side(H, G, 0.1, 3),
                                    hp_direct(dim=8, solver="block", block_size=3,
                                              projection_repeats=8))
             rel = np.linalg.norm(blocked - exact) / max(1e-12, np.linalg.norm(exact))
@@ -431,7 +510,7 @@ class TestProjectUser:
             ref = np.zeros(d)
             for _ in range(repeats):
                 ref = oracles.block_pass_dense(ref, H[items], G, hp.alpha0, lam, block_size)
-            got = project_user(items, H, G, hp)
+            got = project_user(items, block_side(H, G, hp.alpha0, block_size), hp)
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
