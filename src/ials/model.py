@@ -75,16 +75,25 @@ def rank_items(scores: np.ndarray, exclude: np.ndarray | None = None,
 
     exclude lists item indices removed from the ranking entirely (e.g. a
     fold-in history).  k truncates the result; None keeps the full order.
+    Below the candidate count only the top k are sorted: a partition finds
+    the k-th best score s, and the candidates above s, then the lowest-index
+    ones equal to s, fill the k places.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    # Stable sort on negated scores: equal scores keep ascending index order.
-    order = np.argsort(-scores, kind="stable")
+    candidates = np.arange(scores.size)
     if exclude is not None and len(exclude):
-        mask = np.zeros(scores.size, dtype=bool)
-        mask[np.asarray(exclude, dtype=np.int64)] = True
-        order = order[~mask[order]]
-    if k is not None:
-        order = order[:k]
+        keep = np.ones(scores.size, dtype=bool)
+        keep[np.asarray(exclude, dtype=np.int64)] = False
+        candidates = candidates[keep]
+    if k is not None and 0 < k < candidates.size:
+        kept = scores[candidates]
+        kth = np.partition(kept, kept.size - k)[kept.size - k]
+        above = np.flatnonzero(kept > kth)
+        tied = np.flatnonzero(kept == kth)[:k - above.size]
+        # each run of equal scores lies in one of the two, in index order
+        candidates = candidates[np.concatenate((above, tied))]
+    # Stable sort on negated scores: equal scores keep ascending index order.
+    order = candidates[np.argsort(-scores[candidates], kind="stable")][:k]
     return RankedList(items=order, scores=scores[order])
 
 

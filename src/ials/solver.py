@@ -28,9 +28,9 @@ from .model import FactorModel, init_model
 
 SOLVER_KINDS = ("exact", "block")
 
-# chunk length for streaming the observed-pair loss; bounds peak memory
-# at roughly 2 * chunk * dim floats
-_LOSS_CHUNK = 16384
+# floats per gathered factor chunk when compute_losses streams the
+# observed pairs: 2**20 // dim rows, so two 8 MiB gathers whatever dim is
+_LOSS_CHUNK_FLOATS = 2 ** 20
 
 # A block is solved in the interaction space only while min(D) exceeds
 # this fraction of max(D); D^-1 magnifies rounding by their ratio.
@@ -212,6 +212,9 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
     the solve_entity solution.  Returns a new vector; current is not
     modified.  With one block it is the closed-form solve_entity.
 
+    With no partners the minimizer is 0 (b = 0, A positive semi-definite),
+    returned without solving, as in solve_entity.
+
     The d x d system is never formed (iALS++): each pass keeps the
     residuals r = 1 - history @ x and g = alpha0 * G @ x.  Each block
     system is factored once, on the first pass, and later passes only run
@@ -227,9 +230,11 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
     x = np.array(current, dtype=np.float64, copy=True)
     if x.shape != (d,):
         raise InputError(f"current has shape {x.shape}, expected ({d},)")
+    n = history.shape[0]
+    if n == 0:
+        return np.zeros(d)
     if not side.blocks:
         return solve_entity(history, side.alpha0 * side.G, lambda_entity)
-    n = history.shape[0]
     # per block: the Cholesky factor, and (S, D^-1/2) on the n x n path
     chol = [None] * len(side.blocks)
     woodbury = [None] * len(side.blocks)
@@ -267,75 +272,125 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
     return x
 
 
+def penalty_weights(data: InteractionSet, hp: Hyperparameters,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """L2 weights of every user and every item; hp must be in direct mode."""
+    return (regularization_weight(data.user_counts, data.num_items,
+                                  hp.alpha0, hp.nu, hp.lambda_),
+            regularization_weight(data.item_counts, data.num_users,
+                                  hp.alpha0, hp.nu, hp.lambda_))
+
+
 def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
-                 partners: np.ndarray, hp: Hyperparameters, side: str) -> None:
+                 partners: np.ndarray, hp: Hyperparameters, side: str,
+                 lams: np.ndarray, G: np.ndarray | None, with_loss: bool,
+                 ) -> tuple[np.ndarray, float | None]:
     """Re-solve every row of `factors` against the fixed side, in place.
+
+    G is the Gramian of `fixed`, formed here when None.  Returns G and
+    L_S, the sum of (1 - score)^2 over observed pairs with the updated
+    factors, or None without with_loss.  L_S is summed from each entity's
+    residuals 1 - fixed[partners] @ x right after its solve: one matvec
+    per entity instead of a second pass over all observed pairs.
 
     Raises IalsError if any updated factor is not finite, so a NaN or inf
     never reaches a saved model.
     """
-    G = gramian(fixed)
-    lams = regularization_weight(np.diff(ptr), fixed.shape[0], hp.alpha0, hp.nu, hp.lambda_)
+    if G is None:
+        G = gramian(fixed)
     if hp.solver == "block":
         prepared = block_side(fixed, G, hp.alpha0, hp.block_size)
     else:
         alpha_G = hp.alpha0 * G
+    loss_s = 0.0
     with blas_threads(1):
         for e in range(factors.shape[0]):
+            rows = partners[ptr[e]:ptr[e + 1]]
             if hp.solver == "block":
-                factors[e] = solve_entity_block(factors[e], partners[ptr[e]:ptr[e + 1]],
-                                                prepared, lams[e])
+                x = solve_entity_block(factors[e], rows, prepared, lams[e])
+                if with_loss:
+                    history = fixed[rows]
             else:
-                factors[e] = solve_entity(fixed[partners[ptr[e]:ptr[e + 1]]],
-                                          alpha_G, lams[e])
+                history = fixed[rows]
+                x = solve_entity(history, alpha_G, lams[e])
+            factors[e] = x
+            if with_loss:
+                r = 1.0 - history @ x
+                loss_s += r @ r
     bad = np.count_nonzero(~np.isfinite(factors))
     if bad:
         raise IalsError(f"{side} half-step produced {bad} non-finite factor entries")
+    return G, float(loss_s) if with_loss else None
 
 
-def update_users(model: FactorModel, data: InteractionSet, hp: Hyperparameters) -> None:
-    """Half-step: re-solve all user embeddings with items fixed (mutates W)."""
+def update_users(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
+                 lams: np.ndarray | None = None, G: np.ndarray | None = None,
+                 with_loss: bool = False) -> tuple[np.ndarray, float | None]:
+    """Half-step: re-solve all user embeddings with items fixed (mutates W).
+
+    lams (the users' L2 weights) and G (the Gramian of H) are formed here
+    when not given.  Returns G and, with with_loss, L_S (see _update_side).
+    """
     hp = hp.resolve(data)
-    _update_side(model.user_factors, model.item_factors,
-                 data.user_ptr, data.user_items, hp, "user")
+    if lams is None:
+        lams = penalty_weights(data, hp)[0]
+    return _update_side(model.user_factors, model.item_factors, data.user_ptr,
+                        data.user_items, hp, "user", lams, G, with_loss)
 
 
-def update_items(model: FactorModel, data: InteractionSet, hp: Hyperparameters) -> None:
-    """Half-step: re-solve all item embeddings with users fixed (mutates H)."""
+def update_items(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
+                 lams: np.ndarray | None = None, G: np.ndarray | None = None,
+                 with_loss: bool = False) -> tuple[np.ndarray, float | None]:
+    """Half-step: re-solve all item embeddings with users fixed (mutates H).
+
+    lams (the items' L2 weights) and G (the Gramian of W) are formed here
+    when not given.  Returns G and, with with_loss, L_S (see _update_side).
+    """
     hp = hp.resolve(data)
-    _update_side(model.item_factors, model.user_factors,
-                 data.item_ptr, data.item_users, hp, "item")
+    if lams is None:
+        lams = penalty_weights(data, hp)[1]
+    return _update_side(model.item_factors, model.user_factors, data.item_ptr,
+                        data.item_users, hp, "item", lams, G, with_loss)
+
+
+def _loss_report(iteration: int, loss_s: float, G_W: np.ndarray, G_H: np.ndarray,
+                 model: FactorModel, lams: tuple[np.ndarray, np.ndarray],
+                 alpha0: float) -> LossReport:
+    """L = L_S + L_I + R from the observed error, both Gramians and the L2 weights.
+
+    The implicit term uses the Frobenius inner product of the two
+    Gramians: alpha0 * <W'W, H'H> equals alpha0 * sum of all squared
+    scores, so the dense score matrix is never formed.
+    """
+    lam_u, lam_i = lams
+    loss_i = alpha0 * float(np.tensordot(G_W, G_H))
+    reg = float(lam_u @ (model.user_factors ** 2).sum(axis=1)
+                + lam_i @ (model.item_factors ** 2).sum(axis=1))
+    return LossReport(iteration=iteration, L=loss_s + loss_i + reg,
+                      L_S=loss_s, L_I=loss_i, R=reg)
 
 
 def compute_losses(model: FactorModel, data: InteractionSet,
                    hp: Hyperparameters, iteration: int = 0) -> LossReport:
-    """Evaluate the full objective without forming the dense score matrix.
+    """Evaluate the full objective of a model from scratch.
 
-    The implicit term uses the Frobenius inner product of the two
-    Gramians: alpha0 * <W'W, H'H> equals alpha0 * sum of all squared
-    scores.  The observed term streams over S in chunks.
+    The reference for the losses train takes from its half-steps.  The
+    observed term streams over S in chunks of 2**20 // dim pairs.
     """
     hp = hp.resolve(data)
     W, H = model.user_factors, model.item_factors
+    chunk = max(1, _LOSS_CHUNK_FLOATS // model.dim)
 
     loss_s = 0.0
     users, items = data.pairs()
-    for start in range(0, users.size, _LOSS_CHUNK):
-        u = users[start:start + _LOSS_CHUNK]
-        i = items[start:start + _LOSS_CHUNK]
+    for start in range(0, users.size, chunk):
+        u = users[start:start + chunk]
+        i = items[start:start + chunk]
         scores = np.einsum("ij,ij->i", W[u], H[i])
         loss_s += float(((scores - 1.0) ** 2).sum())
 
-    loss_i = hp.alpha0 * float(np.tensordot(gramian(W), gramian(H)))
-
-    lam_u = regularization_weight(data.user_counts, data.num_items,
-                                  hp.alpha0, hp.nu, hp.lambda_)
-    lam_i = regularization_weight(data.item_counts, data.num_users,
-                                  hp.alpha0, hp.nu, hp.lambda_)
-    reg = float(lam_u @ (W ** 2).sum(axis=1) + lam_i @ (H ** 2).sum(axis=1))
-
-    return LossReport(iteration=iteration, L=loss_s + loss_i + reg,
-                      L_S=loss_s, L_I=loss_i, R=reg)
+    return _loss_report(iteration, loss_s, gramian(W), gramian(H), model,
+                        penalty_weights(data, hp), hp.alpha0)
 
 
 def project_user(history_items, side: BlockSide, hp: Hyperparameters) -> np.ndarray:
@@ -368,7 +423,11 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
           ) -> tuple[FactorModel, list[LossReport]]:
     """Run T alternating iterations from a fresh seeded initialization.
 
-    Each iteration updates users then items and evaluates the loss.  The
+    Each iteration updates users then items and reports the loss of the
+    updated model.  The report comes from the half-steps: L_S from the item
+    half-step's residuals, L_I from its Gramian of W and the new Gramian of
+    H (which the next user half-step reuses), R from L2 weights formed once
+    per call.  compute_losses is the reference it must agree with.  The
     observer, when given, is called after every iteration as
     observer(iteration, LossReport, metrics) where metrics is eval_fn's
     result (eval_fn takes the current model) or None.
@@ -378,11 +437,14 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
     hp = hp.resolve(data)
     model = init_model(data.num_users, data.num_items, hp.dim,
                        sigma_star=hp.sigma_star, seed=hp.seed)
+    lams = penalty_weights(data, hp)
+    G_H = None
     reports: list[LossReport] = []
     for t in range(1, hp.iterations + 1):
-        update_users(model, data, hp)
-        update_items(model, data, hp)
-        report = compute_losses(model, data, hp, iteration=t)
+        update_users(model, data, hp, lams=lams[0], G=G_H)
+        G_W, loss_s = update_items(model, data, hp, lams=lams[1], with_loss=True)
+        G_H = gramian(model.item_factors)
+        report = _loss_report(t, loss_s, G_W, G_H, model, lams, hp.alpha0)
         reports.append(report)
         metrics = eval_fn(model) if eval_fn is not None else None
         if observer is not None:

@@ -218,6 +218,17 @@ class TestTrainCommand:
         assert "Traceback" not in capsys.readouterr().err + caplog.text
         assert not list((tmp_path / "run").glob("model-*"))
 
+    def test_block_solver_skips_empty_users(self, tmp_path, raw_file):
+        # holdout and validation users are empty training rows; at alpha0 = 0
+        # their block systems are zero, so only the shortcut to 0 solves them
+        sg = make_strong_gen_dir(tmp_path, raw_file)
+        for solver in ("exact", "block"):
+            rc = main(["train", "--split-dir", str(sg), "--protocol", "strong-gen",
+                       "--out", str(tmp_path / solver), "--dim", "4", "--alpha0", "0",
+                       "--lambda", "0.05", "--solver", solver, "--block-size", "2",
+                       "--iterations", "2"])
+            assert rc == 0, solver
+
     def test_unsolvable_system_is_runtime_error(self, tmp_path, raw_file):
         # zero init with zero regularization and zero alpha0 produces an
         # all-zero normal matrix that no jitter can rescue

@@ -88,6 +88,24 @@ class TestScoring:
             expected = oracles.rank_by_score(H @ w, exclude=exclude)[:5]
             assert got.items.tolist() == expected
 
+    @pytest.mark.parametrize("with_exclude", [False, True])
+    def test_top_k_matches_full_stable_sort_on_ties(self, rng, with_exclude):
+        # few distinct values: the k-th best score is tied across the cut
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            scores = rng.integers(0, 4, size=n).astype(float)
+            exclude = (rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+                       if with_exclude else None)
+            full = rank_items(scores, exclude=exclude)
+            order = np.argsort(-scores, kind="stable")
+            if exclude is not None:
+                order = order[~np.isin(order, exclude)]
+            assert full.items.tolist() == order.tolist()
+            for k in range(n + 2):
+                got = rank_items(scores, exclude=exclude, k=k)
+                assert got.items.tolist() == order[:k].tolist()
+                assert got.scores.tolist() == scores[order[:k]].tolist()
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=25))
     def test_tie_rule_property(self, int_scores):

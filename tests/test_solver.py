@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,16 @@ class TestSolveEntityBlock:
             x = solve_entity_block(x, obs, side, lam)
         assert np.all(np.abs(x - exact) <= 1e-8)
 
+    @pytest.mark.parametrize("alpha0,lam", [(0.2, 0.01), (0.0, 0.0)])
+    def test_empty_partners_is_zero(self, rng, alpha0, lam):
+        # no history: the quadratic is x'(alpha0 G + lam I)x, minimized at 0,
+        # whatever the start; at alpha0 = lam = 0 every block system is zero
+        H = rng.standard_normal((10, 6))
+        side = block_side(H, gramian(H), alpha0, 2)
+        got = solve_entity_block(rng.standard_normal(6), np.array([], dtype=np.int64),
+                                 side, lam, passes=3)
+        assert np.array_equal(got, np.zeros(6))
+
     def test_current_not_mutated(self, rng):
         H, obs, G, alpha0, lam = self._instance(rng, d=6)
         x0 = np.ones(6)
@@ -227,7 +238,7 @@ class TestSolveEntityBlock:
         (6, 1, 15, "random"),    # one coordinate per block
         (6, 6, 15, "random"),    # one block: the closed form
         (6, 9, 15, "random"),    # b > d
-        (5, 2, 0, "random"),     # empty history
+        (5, 2, 0, "random"),     # empty history: the exact minimizer 0, not one pass
         (48, 16, 30, "random"),
     ])
     def test_matches_dense_oracle(self, rng, d, block_size, n, start):
@@ -239,7 +250,8 @@ class TestSolveEntityBlock:
             current = rng.standard_normal(d) if start == "random" else np.zeros(d)
             got = solve_entity_block(current, np.arange(n), block_side(H, G, alpha0, block_size),
                                      lam)
-            ref = oracles.block_pass_dense(current, history, G, alpha0, lam, block_size)
+            ref = (np.zeros(d) if n == 0 else
+                   oracles.block_pass_dense(current, history, G, alpha0, lam, block_size))
             scale = max(np.abs(ref).max(), np.abs(current).max())
             assert np.abs(got - ref).max() <= 1e-10 * scale
 
@@ -270,7 +282,7 @@ class TestBlockKernel:
         (48, 16, 5, 6, 0.3, 0.05, 2, "woodbury"),    # rank-deficient G
         (48, 16, 5, 6, 0.3, 0.0, 2, "cholesky"),     # and lambda = 0: min(D) = 0
         (48, 16, 5, 40, 0.0, 0.0, 2, "cholesky"),    # alpha0 = lambda = 0: D = 0
-        (48, 16, 0, 40, 0.3, 0.05, 2, "cholesky"),   # n = 0
+        (48, 16, 0, 40, 0.3, 0.05, 2, "cholesky"),   # n = 0: 0 without a solve
         (40, 16, 3, 40, 0.3, 0.05, 1, "woodbury"),   # last block of 8
     ])
     def test_matches_oracle_passes(self, rng, monkeypatch, d, b, n, m, alpha0, lam,
@@ -283,6 +295,9 @@ class TestBlockKernel:
             current = rng.standard_normal(d)
             got = solve_entity_block(current, partners, block_side(H, G, alpha0, b), lam,
                                      passes)
+            if n == 0:
+                assert np.array_equal(got, np.zeros(d))
+                continue
             ref = current
             for _ in range(passes):
                 ref = oracles.block_pass(ref, H[partners], G, alpha0, lam, b)
@@ -295,7 +310,7 @@ class TestBlockKernel:
                 scale = max(np.abs(dense).max(), np.abs(current).max())
                 assert np.abs(got - dense).max() <= 1e-10 * scale
                 assert np.abs(got - ref).max() <= 1e-10 * scale
-        block_sizes = [min(b, d - start) for start in range(0, d, b)]
+        block_sizes = [min(b, d - start) for start in range(0, d, b)] if n else []
         assert sizes == (block_sizes if path == "cholesky" else [n] * len(block_sizes)) * 3
 
     def test_fold_in_factors_each_block_once(self, rng, monkeypatch):
@@ -608,3 +623,62 @@ class TestTrain:
         # same objective, so final losses should be close even though the
         # block path only makes one pass per half-step
         assert block_reports[-1].L == pytest.approx(exact_reports[-1].L, rel=0.05)
+
+
+class TestFreeLoss:
+    """train takes its reports from the half-steps; compute_losses is the reference."""
+
+    @pytest.mark.parametrize("solver", ["exact", "block"])
+    @pytest.mark.parametrize("reg", [
+        dict(alpha0=0.1, lambda_=0.01, nu=0.5),
+        dict(alpha0=0.1, lambda_star=0.02, nu=0.25, nu_star=1.0),   # normalized, nu != nu*
+        dict(alpha0=0.0, lambda_=0.05),   # empty rows get lambda_e = 0
+    ], ids=["direct", "normalized", "alpha0-zero"])
+    def test_reports_match_compute_losses(self, rng, monkeypatch, solver, reg):
+        # users 30.. and items 20.. have no pairs
+        users, items = oracles.random_interactions(rng, 30, 20, min_deg=1, max_deg=8)
+        data = InteractionSet.from_pairs(users, items, num_users=34, num_items=24)
+        hp = Hyperparameters(dim=6, iterations=3, seed=1, solver=solver, block_size=4, **reg)
+        spied = []
+        monkeypatch.setattr(ials.solver, "compute_losses",
+                            lambda *args, **kw: spied.append(args))
+        expected = []
+
+        def eval_fn(model):
+            expected.append(compute_losses(model, data, hp, iteration=len(expected) + 1))
+
+        _, reports = train(data, hp, eval_fn=eval_fn)
+        assert spied == []
+        assert len(reports) == len(expected) == 3
+        for got, ref in zip(reports, expected):
+            assert got.iteration == ref.iteration
+            assert got.L_I == ref.L_I and got.R == ref.R
+            assert abs(got.L_S - ref.L_S) <= 1e-12 * ref.L_S
+            assert got.L == got.L_S + got.L_I + got.R
+
+    def test_half_step_loss_matches_compute_losses(self, small_data):
+        model = init_model(small_data.num_users, small_data.num_items, 3, seed=2)
+        hp = hp_direct()
+        G_H, loss_s = update_users(model, small_data, hp, with_loss=True)
+        ref = compute_losses(model, small_data, hp)
+        assert abs(loss_s - ref.L_S) <= 1e-12 * ref.L_S
+        assert np.array_equal(G_H, gramian(model.item_factors))
+        assert update_items(model, small_data, hp)[1] is None
+
+    def test_train_heap_peak_is_bounded(self):
+        # 20,000 pairs at d=256: a pass over S in 16384-pair chunks gathers two
+        # 32 MiB blocks, while a half-step holds one entity's rows at a time
+        rng = np.random.default_rng(0)
+        n_users, n_items, per_user = 200, 250, 100
+        items = np.concatenate([rng.choice(n_items, per_user, replace=False)
+                                for _ in range(n_users)])
+        users = np.repeat(np.arange(n_users), per_user)
+        data = InteractionSet.from_pairs(users, items, num_users=n_users, num_items=n_items)
+        hp = Hyperparameters(dim=256, alpha0=0.1, lambda_=0.01, iterations=1)
+        tracemalloc.start()
+        try:
+            train(data, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
