@@ -77,7 +77,8 @@ def rank_items(scores: np.ndarray, exclude: np.ndarray | None = None,
     fold-in history).  k truncates the result; None keeps the full order.
     Below the candidate count only the top k are sorted: a partition finds
     the k-th best score s, and the candidates above s, then the lowest-index
-    ones equal to s, fill the k places.
+    ones equal to s, fill the k places.  NaN scores rank last, as in the
+    full sort; with any among the candidates the full sort is taken.
     """
     scores = np.asarray(scores, dtype=np.float64)
     candidates = np.arange(scores.size)
@@ -85,8 +86,8 @@ def rank_items(scores: np.ndarray, exclude: np.ndarray | None = None,
         keep = np.ones(scores.size, dtype=bool)
         keep[np.asarray(exclude, dtype=np.int64)] = False
         candidates = candidates[keep]
-    if k is not None and 0 < k < candidates.size:
-        kept = scores[candidates]
+    kept = scores[candidates]
+    if k is not None and 0 < k < kept.size and not np.isnan(kept).any():
         kth = np.partition(kept, kept.size - k)[kept.size - k]
         above = np.flatnonzero(kept > kth)
         tied = np.flatnonzero(kept == kth)[:k - above.size]
@@ -116,8 +117,8 @@ def load_model(path) -> FactorModel:
 
     Raises:
         InputError: the file cannot be opened, unknown magic/version,
-            malformed header, or a payload whose size disagrees with the
-            header.
+            malformed header, a payload whose size disagrees with the
+            header, or a factor entry that is NaN or infinite.
     """
     try:
         fh = open(path, "rb")
@@ -145,6 +146,9 @@ def load_model(path) -> FactorModel:
             f"({num_users}+{num_items})x{dim}, found {len(payload)}"
         )
     flat = np.frombuffer(payload, dtype="<f8")
+    bad = np.count_nonzero(~np.isfinite(flat))
+    if bad:
+        raise InputError(f"{path}: {bad} non-finite factor entries")
     w = flat[: num_users * dim].reshape(num_users, dim).astype(np.float64)
     h = flat[num_users * dim:].reshape(num_items, dim).astype(np.float64)
     return FactorModel(user_factors=w, item_factors=h)

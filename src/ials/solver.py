@@ -220,7 +220,7 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
     system is factored once, on the first pass, and later passes only run
     triangular solves, so P passes cost O(n*d*b + d*b*b + P*(n*d + d*d)).
     A block is solved in the interaction space when that takes fewer flops
-    (_woodbury_cheaper, about 0 < n < b): with D = lam + lambda_entity and
+    (_woodbury_cheaper, about n < b): with D = lam + lambda_entity and
     S = history[:, B] @ Q @ D^-1/2, Woodbury factors the n x n I + S S'
     instead of the b x b block.  It falls back to the b x b factor when
     min(D) is tiny against max(D), where D^-1 would magnify rounding.
@@ -246,7 +246,7 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
             rhs = h.T @ r - g[B] - lambda_entity * x[B]
             if chol[k] is None:
                 D = lam + lambda_entity
-                if (n and _woodbury_cheaper(n, lam.size, passes)
+                if (_woodbury_cheaper(n, lam.size, passes)
                         and D.min() > _WOODBURY_MIN_RATIO * D.max()):
                     scale = 1.0 / np.sqrt(D)
                     S = rotated[partners] * scale
@@ -283,13 +283,12 @@ def penalty_weights(data: InteractionSet, hp: Hyperparameters,
 
 def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
                  partners: np.ndarray, hp: Hyperparameters, side: str,
-                 lams: np.ndarray, G: np.ndarray | None, with_loss: bool,
-                 ) -> tuple[np.ndarray, float | None]:
+                 lams: np.ndarray, G: np.ndarray | None) -> float:
     """Re-solve every row of `factors` against the fixed side, in place.
 
-    G is the Gramian of `fixed`, formed here when None.  Returns G and
-    L_S, the sum of (1 - score)^2 over observed pairs with the updated
-    factors, or None without with_loss.  L_S is summed from each entity's
+    lams are the entities' L2 weights and G the Gramian of `fixed`, formed
+    here when None.  Returns L_S, the sum of (1 - score)^2 over
+    observed pairs with the updated factors, summed from each entity's
     residuals 1 - fixed[partners] @ x right after its solve: one matvec
     per entity instead of a second pass over all observed pairs.
 
@@ -306,51 +305,46 @@ def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
     with blas_threads(1):
         for e in range(factors.shape[0]):
             rows = partners[ptr[e]:ptr[e + 1]]
+            history = fixed[rows]
             if hp.solver == "block":
                 x = solve_entity_block(factors[e], rows, prepared, lams[e])
-                if with_loss:
-                    history = fixed[rows]
             else:
-                history = fixed[rows]
                 x = solve_entity(history, alpha_G, lams[e])
             factors[e] = x
-            if with_loss:
-                r = 1.0 - history @ x
-                loss_s += r @ r
+            r = 1.0 - history @ x
+            loss_s += r @ r
     bad = np.count_nonzero(~np.isfinite(factors))
     if bad:
         raise IalsError(f"{side} half-step produced {bad} non-finite factor entries")
-    return G, float(loss_s) if with_loss else None
+    return float(loss_s)
 
 
 def update_users(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
-                 lams: np.ndarray | None = None, G: np.ndarray | None = None,
-                 with_loss: bool = False) -> tuple[np.ndarray, float | None]:
+                 lams: np.ndarray | None = None, G: np.ndarray | None = None) -> float:
     """Half-step: re-solve all user embeddings with items fixed (mutates W).
 
     lams (the users' L2 weights) and G (the Gramian of H) are formed here
-    when not given.  Returns G and, with with_loss, L_S (see _update_side).
+    when not given.  Returns L_S of the updated model (see _update_side).
     """
     hp = hp.resolve(data)
     if lams is None:
         lams = penalty_weights(data, hp)[0]
     return _update_side(model.user_factors, model.item_factors, data.user_ptr,
-                        data.user_items, hp, "user", lams, G, with_loss)
+                        data.user_items, hp, "user", lams, G)
 
 
 def update_items(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
-                 lams: np.ndarray | None = None, G: np.ndarray | None = None,
-                 with_loss: bool = False) -> tuple[np.ndarray, float | None]:
+                 lams: np.ndarray | None = None, G: np.ndarray | None = None) -> float:
     """Half-step: re-solve all item embeddings with users fixed (mutates H).
 
     lams (the items' L2 weights) and G (the Gramian of W) are formed here
-    when not given.  Returns G and, with with_loss, L_S (see _update_side).
+    when not given.  Returns L_S of the updated model (see _update_side).
     """
     hp = hp.resolve(data)
     if lams is None:
         lams = penalty_weights(data, hp)[1]
     return _update_side(model.item_factors, model.user_factors, data.item_ptr,
-                        data.item_users, hp, "item", lams, G, with_loss)
+                        data.item_users, hp, "item", lams, G)
 
 
 def _loss_report(iteration: int, loss_s: float, G_W: np.ndarray, G_H: np.ndarray,
@@ -424,10 +418,11 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
     """Run T alternating iterations from a fresh seeded initialization.
 
     Each iteration updates users then items and reports the loss of the
-    updated model.  The report comes from the half-steps: L_S from the item
-    half-step's residuals, L_I from its Gramian of W and the new Gramian of
-    H (which the next user half-step reuses), R from L2 weights formed once
-    per call.  compute_losses is the reference it must agree with.  The
+    updated model.  The report comes from what the half-steps already
+    hold: L_S from the item half-step's residuals, L_I from the Gramians of
+    W and H that the half-steps solve against (each formed once per
+    iteration; the next user half-step reuses the one of H), R from L2
+    weights formed once per call.  compute_losses is the reference it must agree with.  The
     observer, when given, is called after every iteration as
     observer(iteration, LossReport, metrics) where metrics is eval_fn's
     result (eval_fn takes the current model) or None.
@@ -438,11 +433,12 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
     model = init_model(data.num_users, data.num_items, hp.dim,
                        sigma_star=hp.sigma_star, seed=hp.seed)
     lams = penalty_weights(data, hp)
-    G_H = None
+    G_H = gramian(model.item_factors)
     reports: list[LossReport] = []
     for t in range(1, hp.iterations + 1):
         update_users(model, data, hp, lams=lams[0], G=G_H)
-        G_W, loss_s = update_items(model, data, hp, lams=lams[1], with_loss=True)
+        G_W = gramian(model.user_factors)
+        loss_s = update_items(model, data, hp, lams=lams[1], G=G_W)
         G_H = gramian(model.item_factors)
         report = _loss_report(t, loss_s, G_W, G_H, model, lams, hp.alpha0)
         reports.append(report)

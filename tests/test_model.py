@@ -88,12 +88,16 @@ class TestScoring:
             expected = oracles.rank_by_score(H @ w, exclude=exclude)[:5]
             assert got.items.tolist() == expected
 
+    @pytest.mark.parametrize("with_nan", [False, True])
     @pytest.mark.parametrize("with_exclude", [False, True])
-    def test_top_k_matches_full_stable_sort_on_ties(self, rng, with_exclude):
-        # few distinct values: the k-th best score is tied across the cut
+    def test_top_k_matches_full_stable_sort_on_ties(self, rng, with_exclude, with_nan):
+        # few distinct values: the k-th best score is tied across the cut;
+        # NaN scores rank last and never shorten the top k
         for _ in range(50):
             n = int(rng.integers(1, 40))
             scores = rng.integers(0, 4, size=n).astype(float)
+            if with_nan:
+                scores[rng.random(n) < 0.3] = np.nan
             exclude = (rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
                        if with_exclude else None)
             full = rank_items(scores, exclude=exclude)
@@ -104,7 +108,7 @@ class TestScoring:
             for k in range(n + 2):
                 got = rank_items(scores, exclude=exclude, k=k)
                 assert got.items.tolist() == order[:k].tolist()
-                assert got.scores.tolist() == scores[order[:k]].tolist()
+                np.testing.assert_array_equal(got.scores, scores[order[:k]])
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=25))
@@ -157,6 +161,15 @@ class TestModelFile:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(InputError):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_factor(self, tmp_path, value):
+        m = init_model(3, 2, 2, seed=0)
+        m.item_factors[1, 0] = value
+        path = tmp_path / "m.bin"
+        save_model(path, m)
+        with pytest.raises(InputError, match="non-finite"):
             load_model(path)
 
     def test_rejects_garbage(self, tmp_path):
