@@ -273,10 +273,11 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
             if validation is None or not validation.users:
                 raise InputError(f"{ns.split_dir} has no validation users")
             split = validation
-        hp = _build_hp(ns, dim=load_model(ns.model[0]).dim)
-        reports = [mt.evaluate_strong_generalization(
-            load_model(path), split, hp, recall_ks=ns.recall_ks, ndcg_ks=ndcg_ks)
-            for path in ns.model]
+        reports, hp = [], None
+        for model in map(load_model, ns.model):
+            hp = hp or _build_hp(ns, dim=model.dim)
+            reports.append(mt.evaluate_strong_generalization(
+                model, split, hp, recall_ks=ns.recall_ks, ndcg_ks=ndcg_ks))
     else:
         split = ds.load_leave_one_out(ns.split_dir)
         reports = [mt.evaluate_sampled(load_model(path), split, ks=ndcg_ks)

@@ -692,7 +692,8 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
 
     Raises:
         InputError: a test file is missing, or one validation file is
-            present without the other.
+            present without the other, or a (user, item) pair occurs
+            twice in a part's fold-in and target files together.
     """
     d = Path(split_dir)
     train_rows = _read_int_table(d / "train.csv", 2)
@@ -705,6 +706,14 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
             empty_ok = part == "validation"
             parts[part] = tuple(_read_int_table(d / name, 2, may_be_empty=empty_ok)
                                 for name in names)
+            # a repeated pair counts twice; a target also in fold-in is never ranked
+            for where, rows in ((d / names[0], parts[part][0]), (d / names[1], parts[part][1]),
+                                (f"{d}: {names[0]} and {names[1]}", np.vstack(parts[part]))):
+                users, items = _by_user(rows)
+                twice = np.flatnonzero((users[1:] == users[:-1]) & (items[1:] == items[:-1]))
+                if twice.size:
+                    raise InputError(f"{where}: user {users[twice[0]]} lists item "
+                                     f"{items[twice[0]]} twice")
         elif part == "test" or len(missing) == 1:
             raise InputError(f"{d}: missing {' and '.join(missing)}")
 

@@ -19,7 +19,7 @@ from .dataset import LeaveOneOutSplit, StrongGeneralizationSplit
 from .errors import DimensionMismatch, InputError
 from .linalg import gramian
 from .model import FactorModel, RankedList, rank_items
-from .solver import Hyperparameters, block_side, project_user
+from .solver import Hyperparameters, project_user, solver_side
 
 
 class EmptyRelevantSet(InputError):
@@ -102,8 +102,7 @@ def evaluate_strong_generalization(model: FactorModel, split: StrongGeneralizati
             f"model has {model.num_items} items, split vocabulary {split.train.num_items}")
     hp = hp.resolve(split.train)
     H = model.item_factors
-    side = block_side(H, gramian(H), hp.alpha0,
-                      hp.block_size if hp.solver == "block" else H.shape[1])
+    side = solver_side(H, gramian(H), hp)
     max_k = max([*recall_ks, *ndcg_ks])
 
     names = [f"recall@{k}" for k in recall_ks] + [f"ndcg@{k}" for k in ndcg_ks]

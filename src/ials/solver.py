@@ -146,8 +146,8 @@ def solve_entity(history: np.ndarray, alpha_G: np.ndarray,
         history: (n, d) embedding rows of the entity's observed partners.
         alpha_G: (d, d) alpha0 * G, where G is the Gramian of the FULL
             fixed-side matrix.  The implicit term covers every pair, so
-            observed rows contribute weight 1 + alpha0 in total.  A
-            half-step forms it once for all its entities.
+            observed rows contribute weight 1 + alpha0 in total.
+            block_side forms it once for all entities.
         lambda_entity: this entity's L2 weight.
 
     Returns:
@@ -165,17 +165,19 @@ def solve_entity(history: np.ndarray, alpha_G: np.ndarray,
 
 @dataclass(frozen=True)
 class BlockSide:
-    """The fixed side of block half-steps and fold-ins, prepared once for all entities.
+    """The fixed side of half-steps and fold-ins, prepared once for all entities.
 
-    factors are the fixed-side rows and G their Gramian.  blocks holds, for
-    each coordinate block B, (B, alpha0 * G[B, B], lam, Q, factors[:, B] @ Q)
-    with alpha0 * G[B, B] = Q diag(lam) Q'.  blocks is empty when one block
-    covers all d coordinates.
+    factors are the fixed-side rows, G their Gramian and alpha_G = alpha0 * G
+    (the block passes use alpha0 * (G @ x), which rounds unlike alpha_G @ x).
+    blocks holds, for each coordinate block B, (B, lam, Q, factors[:, B] @ Q)
+    with alpha_G[B, B] = Q diag(lam) Q'.  blocks is empty when one block
+    covers all d coordinates: the exact solve.
     """
 
     factors: np.ndarray
     G: np.ndarray
     alpha0: float
+    alpha_G: np.ndarray
     blocks: tuple
 
 
@@ -183,15 +185,21 @@ def block_side(factors: np.ndarray, G: np.ndarray, alpha0: float,
                block_size: int) -> BlockSide:
     """One eigh per coordinate block of alpha0 * G and the fixed side rotated into it."""
     d = G.shape[0]
+    alpha_G = alpha0 * G
     if block_size >= d:
-        return BlockSide(factors, G, alpha0, ())
+        return BlockSide(factors, G, alpha0, alpha_G, ())
     blocks = []
     for start in range(0, d, block_size):
         B = slice(start, min(start + block_size, d))
-        alpha_G_BB = alpha0 * G[B, B]
-        lam, Q = np.linalg.eigh(alpha_G_BB)
-        blocks.append((B, alpha_G_BB, lam, Q, factors[:, B] @ Q))
-    return BlockSide(factors, G, alpha0, tuple(blocks))
+        lam, Q = np.linalg.eigh(alpha_G[B, B])
+        blocks.append((B, lam, Q, factors[:, B] @ Q))
+    return BlockSide(factors, G, alpha0, alpha_G, tuple(blocks))
+
+
+def solver_side(fixed: np.ndarray, G: np.ndarray, hp: Hyperparameters) -> BlockSide:
+    """block_side of `fixed` for hp's solver: exact iALS is one block as wide as fixed."""
+    width = hp.block_size if hp.solver == "block" else fixed.shape[1]
+    return block_side(fixed, G, hp.alpha0, width)
 
 
 def _woodbury_cheaper(n: int, b: int, passes: int) -> bool:
@@ -203,45 +211,49 @@ def _woodbury_cheaper(n: int, b: int, passes: int) -> bool:
 
 
 def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
-                       lambda_entity: float, passes: int = 1) -> np.ndarray:
+                       lambda_entity: float, passes: int = 1,
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic passes of exact block coordinate descent on the entity quadratic.
 
     Uses the same A, b as solve_entity with history = side.factors[partners].
     Each block of coordinates is minimized exactly with the others held at
     their current values, in order; the fixed point of repeated passes is
-    the solve_entity solution.  Returns a new vector; current is not
-    modified.  With one block it is the closed-form solve_entity.
+    the solve_entity solution.  With one block (exact iALS) it is the
+    closed-form solve_entity, whatever current and passes are.
 
-    With no partners the minimizer is 0 (b = 0, A positive semi-definite),
-    returned without solving, as in solve_entity.
+    Returns (x, r): a new vector x (current is not modified) and the
+    residuals r = 1 - history @ x of the entity's observed pairs, so r @ r
+    is its share of L_S.  With no partners the minimizer is 0 (b = 0, A
+    positive semi-definite), returned without solving, as in solve_entity.
 
-    The d x d system is never formed (iALS++): each pass keeps the
-    residuals r = 1 - history @ x and g = alpha0 * G @ x.  Each block
-    system is factored once, on the first pass, and later passes only run
-    triangular solves, so P passes cost O(n*d*b + d*b*b + P*(n*d + d*d)).
+    The d x d system is never formed (iALS++): each pass keeps r and
+    g = alpha0 * G @ x.  Each block system is factored once, on the first
+    pass, and later passes only run triangular solves, so P passes cost
+    O(n*d*b + d*b*b + P*(n*d + d*d)).
     A block is solved in the interaction space when that takes fewer flops
     (_woodbury_cheaper, about n < b): with D = lam + lambda_entity and
     S = history[:, B] @ Q @ D^-1/2, Woodbury factors the n x n I + S S'
     instead of the b x b block.  It falls back to the b x b factor when
     min(D) is tiny against max(D), where D^-1 would magnify rounding.
     """
-    d = side.G.shape[0]
     history = side.factors[partners]
+    if not side.blocks:
+        x = solve_entity(history, side.alpha_G, lambda_entity)
+        return x, 1.0 - history @ x
+    d = side.G.shape[0]
     x = np.array(current, dtype=np.float64, copy=True)
     if x.shape != (d,):
         raise InputError(f"current has shape {x.shape}, expected ({d},)")
     n = history.shape[0]
     if n == 0:
-        return np.zeros(d)
-    if not side.blocks:
-        return solve_entity(history, side.alpha0 * side.G, lambda_entity)
+        return np.zeros(d), np.empty(0)
     # per block: the Cholesky factor, and (S, D^-1/2) on the n x n path
     chol = [None] * len(side.blocks)
     woodbury = [None] * len(side.blocks)
     for _ in range(passes):
         r = 1.0 - history @ x
         g = side.alpha0 * (side.G @ x)
-        for k, (B, alpha_G_BB, lam, Q, rotated) in enumerate(side.blocks):
+        for k, (B, lam, Q, rotated) in enumerate(side.blocks):
             h = history[:, B]
             rhs = h.T @ r - g[B] - lambda_entity * x[B]
             if chol[k] is None:
@@ -254,7 +266,7 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
                     A = S @ S.T
                     A.flat[:: n + 1] += 1.0
                 else:
-                    A = h.T @ h + alpha_G_BB
+                    A = h.T @ h + side.alpha_G[B, B]
                     A.flat[:: A.shape[0] + 1] += lambda_entity
             if woodbury[k] is not None:
                 S, scale = woodbury[k]
@@ -269,7 +281,7 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
             x[B] += delta
             r -= h @ delta
             g += side.alpha0 * (side.G[:, B] @ delta)
-    return x
+    return x, 1.0 - history @ x
 
 
 def penalty_weights(data: InteractionSet, hp: Hyperparameters,
@@ -283,35 +295,22 @@ def penalty_weights(data: InteractionSet, hp: Hyperparameters,
 
 def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
                  partners: np.ndarray, hp: Hyperparameters, side: str,
-                 lams: np.ndarray, G: np.ndarray | None) -> float:
+                 lams: np.ndarray, G: np.ndarray) -> float:
     """Re-solve every row of `factors` against the fixed side, in place.
 
-    lams are the entities' L2 weights and G the Gramian of `fixed`, formed
-    here when None.  Returns L_S, the sum of (1 - score)^2 over
-    observed pairs with the updated factors, summed from each entity's
-    residuals 1 - fixed[partners] @ x right after its solve: one matvec
-    per entity instead of a second pass over all observed pairs.
+    lams are the entities' L2 weights and G the Gramian of `fixed`.
+    Returns L_S, the sum of (1 - score)^2 over observed pairs with the
+    updated factors, from the residuals each entity's solve returns.
 
     Raises IalsError if any updated factor is not finite, so a NaN or inf
     never reaches a saved model.
     """
-    if G is None:
-        G = gramian(fixed)
-    if hp.solver == "block":
-        prepared = block_side(fixed, G, hp.alpha0, hp.block_size)
-    else:
-        alpha_G = hp.alpha0 * G
+    prepared = solver_side(fixed, G, hp)
     loss_s = 0.0
     with blas_threads(1):
         for e in range(factors.shape[0]):
-            rows = partners[ptr[e]:ptr[e + 1]]
-            history = fixed[rows]
-            if hp.solver == "block":
-                x = solve_entity_block(factors[e], rows, prepared, lams[e])
-            else:
-                x = solve_entity(history, alpha_G, lams[e])
-            factors[e] = x
-            r = 1.0 - history @ x
+            factors[e], r = solve_entity_block(factors[e], partners[ptr[e]:ptr[e + 1]],
+                                               prepared, lams[e])
             loss_s += r @ r
     bad = np.count_nonzero(~np.isfinite(factors))
     if bad:
@@ -320,29 +319,23 @@ def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
 
 
 def update_users(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
-                 lams: np.ndarray | None = None, G: np.ndarray | None = None) -> float:
+                 lams: np.ndarray, G: np.ndarray) -> float:
     """Half-step: re-solve all user embeddings with items fixed (mutates W).
 
-    lams (the users' L2 weights) and G (the Gramian of H) are formed here
-    when not given.  Returns L_S of the updated model (see _update_side).
+    lams are the users' L2 weights (penalty_weights) and G the Gramian of
+    H.  Returns L_S of the updated model (see _update_side).
     """
-    hp = hp.resolve(data)
-    if lams is None:
-        lams = penalty_weights(data, hp)[0]
     return _update_side(model.user_factors, model.item_factors, data.user_ptr,
                         data.user_items, hp, "user", lams, G)
 
 
 def update_items(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
-                 lams: np.ndarray | None = None, G: np.ndarray | None = None) -> float:
+                 lams: np.ndarray, G: np.ndarray) -> float:
     """Half-step: re-solve all item embeddings with users fixed (mutates H).
 
-    lams (the items' L2 weights) and G (the Gramian of W) are formed here
-    when not given.  Returns L_S of the updated model (see _update_side).
+    lams are the items' L2 weights (penalty_weights) and G the Gramian of
+    W.  Returns L_S of the updated model (see _update_side).
     """
-    hp = hp.resolve(data)
-    if lams is None:
-        lams = penalty_weights(data, hp)[1]
     return _update_side(model.item_factors, model.user_factors, data.item_ptr,
                         data.item_users, hp, "item", lams, G)
 
@@ -390,12 +383,10 @@ def compute_losses(model: FactorModel, data: InteractionSet,
 def project_user(history_items, side: BlockSide, hp: Hyperparameters) -> np.ndarray:
     """Fold-in: embedding for an unseen user from their item history.
 
-    side is block_side(H, gramian(H), ...) of the item factors H, built once
-    for every user folded in against them.  Exact solver: the closed-form
-    solve, identical to a training user whose item set equals
-    history_items.  Block solver: projection_repeats block passes from the
-    zero vector, which factor each block once and then only run triangular
-    solves (see solve_entity_block).
+    side is solver_side(H, gramian(H), hp) of the item factors H, built
+    once for every user folded in against them.  projection_repeats block
+    passes from the zero vector (solve_entity_block); under the exact
+    solver, the closed-form solve of a training user with these items.
 
     hp must be in direct mode (resolve against the training set first);
     there is no dataset here to derive a normalized lambda from.
@@ -407,10 +398,8 @@ def project_user(history_items, side: BlockSide, hp: Hyperparameters) -> np.ndar
     lam = regularization_weight(history_items.size, side.factors.shape[0],
                                 hp.alpha0, hp.nu, hp.lambda_)
     with blas_threads(1):
-        if hp.solver == "block":
-            return solve_entity_block(np.zeros(side.G.shape[0]), history_items, side, lam,
-                                      passes=hp.projection_repeats)
-        return solve_entity(side.factors[history_items], hp.alpha0 * side.G, lam)
+        return solve_entity_block(np.zeros(side.G.shape[0]), history_items, side, lam,
+                                  passes=hp.projection_repeats)[0]
 
 
 def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None,
@@ -441,6 +430,7 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
         loss_s = update_items(model, data, hp, lams=lams[1], G=G_W)
         G_H = gramian(model.item_factors)
         report = _loss_report(t, loss_s, G_W, G_H, model, lams, hp.alpha0)
+        del G_W   # dead until the next iteration forms it: free it before eval_fn
         reports.append(report)
         metrics = eval_fn(model) if eval_fn is not None else None
         if observer is not None:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ials.dataset import InteractionSet
+from ials.linalg import gramian
+from ials.solver import penalty_weights, update_users
 
 import oracles
 
@@ -23,3 +25,13 @@ def make_interactions(rng, n_users=8, n_items=6, min_deg=1, max_deg=None,
 @pytest.fixture
 def small_data(rng):
     return make_interactions(rng, n_users=8, n_items=6, min_deg=1)
+
+
+def half_step(update, model, data, hp):
+    """update_users or update_items with the inputs train hands it: the L2
+    weights of the side it updates and the Gramian of the fixed side."""
+    hp = hp.resolve(data)
+    users = update is update_users
+    lams = penalty_weights(data, hp)[0 if users else 1]
+    G = gramian(model.item_factors if users else model.user_factors)
+    return update(model, data, hp, lams, G)

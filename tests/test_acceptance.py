@@ -40,7 +40,7 @@ from ials.solver import (
 )
 
 import oracles
-from conftest import make_interactions
+from conftest import half_step, make_interactions
 
 
 def _split_dir_or_skip(env_var: str, protocol: str) -> Path:
@@ -180,9 +180,9 @@ def test_criterion_06_monotone_half_steps_and_stationary_end_point():
         losses = [compute_losses(model, data, hp).L]
         stalled = 0
         for _round in range(1500):  # run to a fixed point, where grads vanish
-            update_users(model, data, hp)
+            half_step(update_users, model, data, hp)
             losses.append(compute_losses(model, data, hp).L)
-            update_items(model, data, hp)
+            half_step(update_items, model, data, hp)
             losses.append(compute_losses(model, data, hp).L)
             if losses[-3] - losses[-1] <= 1e-15 * max(1.0, abs(losses[-1])):
                 stalled += 1
@@ -258,7 +258,7 @@ def test_criterion_09_block_solver_equivalence():
         scale = float(np.linalg.norm(exact))
         x = np.zeros(d)
         for sweep in range(100):
-            x = solve_entity_block(x, obs, side, lam)
+            x = solve_entity_block(x, obs, side, lam)[0]
             if sweep == 7:
                 worst_eight = max(worst_eight,
                                   float(np.linalg.norm(x - exact)) / scale)
@@ -315,8 +315,8 @@ def test_criterion_10_metric_oracles_exact():
 def _timed_iteration(data, model, hp) -> float:
     """Wall time of one full training iteration."""
     t0 = time.perf_counter()
-    update_users(model, data, hp)
-    update_items(model, data, hp)
+    half_step(update_users, model, data, hp)
+    half_step(update_items, model, data, hp)
     return time.perf_counter() - t0
 
 

@@ -409,6 +409,50 @@ class TestEvaluateCommand:
             assert combined[name] == pytest.approx(np.mean(values))
             assert combined[name + "_std"] == pytest.approx(np.std(values, ddof=1))
 
+    def test_strong_gen_reads_each_model_once(self, tmp_path, raw_file, monkeypatch):
+        split, _, models = self._trained(tmp_path, raw_file, "strong-gen")
+        loaded = []
+        load = cli.load_model
+        monkeypatch.setattr(cli, "load_model", lambda path: loaded.append(path) or load(path))
+        assert main(["evaluate", "--split-dir", str(split), "--protocol", "strong-gen",
+                     "--model", str(models[0]), str(models[1]),
+                     "--alpha0", "0.2", "--lambda", "0.02", *EVAL_KS]) == 0
+        assert [str(p) for p in loaded] == [str(m) for m in models]
+
+    def test_strong_gen_models_of_different_dim(self, tmp_path, raw_file, capsys,
+                                                monkeypatch):
+        # the exact fold-in of each model is one block as wide as that model,
+        # not as the first --model: the d=5 model must not split into blocks of 3
+        split = make_strong_gen_dir(tmp_path, raw_file)
+        models = []
+        for dim in ("3", "5"):
+            out = tmp_path / f"run-d{dim}"
+            flags = [*TRAIN_FLAGS]
+            flags[1] = dim
+            assert main(["train", "--split-dir", str(split), "--protocol", "strong-gen",
+                         "--out", str(out), *flags]) == 0
+            models.append(out / "model-seed1.bin")
+        folded = []
+        project = cli.mt.project_user
+        monkeypatch.setattr(cli.mt, "project_user",
+                            lambda *args: folded.append(project(*args)) or folded[-1])
+
+        def evaluate(*paths):
+            capsys.readouterr()
+            folded.clear()
+            assert main(["evaluate", "--split-dir", str(split), "--protocol", "strong-gen",
+                         "--model", *map(str, paths), "--alpha0", "0.2", "--lambda", "0.02",
+                         *EVAL_KS]) == 0
+            return json.loads(capsys.readouterr().out), list(folded)
+
+        singles = [evaluate(m) for m in models]
+        combined, both = evaluate(*models)
+        assert [w.tobytes() for w in both] == [w.tobytes() for _, ws in singles for w in ws]
+        for name in ("recall@3", "ndcg@4"):
+            values = [report[name] for report, _ in singles]
+            assert combined[name] == np.mean(values)
+            assert combined[name + "_std"] == np.std(values, ddof=1)
+
     def test_no_model_is_input_error(self, tmp_path, raw_file):
         split = make_loo_dir(tmp_path, raw_file)
         rc = main(["evaluate", "--split-dir", str(split), "--protocol", "loo"])
@@ -493,6 +537,30 @@ class TestBrokenSplitDir:
         assert rc == 2
         user = lines[2].split(",")[0]
         assert f"{name}: user {user} has more than one row" in caplog.text
+
+    @pytest.mark.parametrize("name,command", [
+        ("validation_fold_in.csv", "train"), ("validation_target.csv", "train"),
+        ("test_fold_in.csv", "evaluate"), ("test_target.csv", "evaluate")])
+    def test_repeated_strong_gen_pair(self, tmp_path, raw_file, caplog, name, command):
+        sg = make_strong_gen_dir(tmp_path, raw_file)
+        lines = (sg / name).read_text().splitlines()
+        (sg / name).write_text("\n".join(lines + [lines[0]]) + "\n")
+        rc = main(self._argv(command, sg, "strong-gen", tmp_path))
+        assert rc == 2
+        user, item = lines[0].split(",")
+        assert f"{sg / name}: user {user} lists item {item} twice" in caplog.text
+
+    @pytest.mark.parametrize("part,command", [("validation", "train"), ("test", "evaluate")])
+    def test_pair_in_fold_in_and_target(self, tmp_path, raw_file, caplog, part, command):
+        sg = make_strong_gen_dir(tmp_path, raw_file)
+        pair = (sg / f"{part}_target.csv").read_text().splitlines()[0]
+        with open(sg / f"{part}_fold_in.csv", "a", encoding="utf-8") as fh:
+            fh.write(pair + "\n")
+        rc = main(self._argv(command, sg, "strong-gen", tmp_path))
+        assert rc == 2
+        user, item = pair.split(",")
+        assert (f"{part}_fold_in.csv and {part}_target.csv: user {user} lists item {item} "
+                "twice") in caplog.text
 
     @pytest.mark.parametrize("protocol,name,command", [
         ("loo", "train.csv", "train"),

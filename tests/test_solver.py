@@ -15,6 +15,7 @@ from ials.solver import (
     block_side,
     compute_losses,
     effective_lambda_from_counts,
+    penalty_weights,
     project_user,
     regularization_weight,
     solve_entity,
@@ -25,7 +26,7 @@ from ials.solver import (
 )
 
 import oracles
-from conftest import make_interactions
+from conftest import half_step, make_interactions
 
 
 def hp_direct(**kw):
@@ -182,9 +183,9 @@ class TestSolveEntityBlock:
     def test_single_block_equals_exact(self, rng):
         H, obs, G, alpha0, lam = self._instance(rng, d=5)
         exact = solve_entity(H[obs], alpha0 * G, lam)
-        one_pass = solve_entity_block(np.zeros(5), obs, block_side(H, G, alpha0, 5), lam)
+        one_pass = solve_entity_block(np.zeros(5), obs, block_side(H, G, alpha0, 5), lam)[0]
         assert np.array_equal(one_pass, exact)
-        bigger = solve_entity_block(np.zeros(5), obs, block_side(H, G, alpha0, 9), lam)
+        bigger = solve_entity_block(np.zeros(5), obs, block_side(H, G, alpha0, 9), lam)[0]
         assert np.array_equal(bigger, exact)
 
     def test_repeated_passes_reach_fixed_point(self, rng):
@@ -193,7 +194,7 @@ class TestSolveEntityBlock:
         side = block_side(H, G, alpha0, 3)
         x = np.zeros(8)
         for _ in range(50):
-            x = solve_entity_block(x, obs, side, lam)
+            x = solve_entity_block(x, obs, side, lam)[0]
         assert np.all(np.abs(x - exact) <= 1e-8)
 
     @pytest.mark.parametrize("alpha0,lam", [(0.2, 0.01), (0.0, 0.0)])
@@ -203,7 +204,7 @@ class TestSolveEntityBlock:
         H = rng.standard_normal((10, 6))
         side = block_side(H, gramian(H), alpha0, 2)
         got = solve_entity_block(rng.standard_normal(6), np.array([], dtype=np.int64),
-                                 side, lam, passes=3)
+                                 side, lam, passes=3)[0]
         assert np.array_equal(got, np.zeros(6))
 
     def test_current_not_mutated(self, rng):
@@ -227,7 +228,7 @@ class TestSolveEntityBlock:
         x = np.zeros(7)
         prev = quad(x)
         for _ in range(10):
-            x = solve_entity_block(x, obs, side, lam)
+            x = solve_entity_block(x, obs, side, lam)[0]
             now = quad(x)
             assert now <= prev + 1e-12 * max(1.0, abs(prev))
             prev = now
@@ -249,7 +250,7 @@ class TestSolveEntityBlock:
             alpha0, lam = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.01, 0.5))
             current = rng.standard_normal(d) if start == "random" else np.zeros(d)
             got = solve_entity_block(current, np.arange(n), block_side(H, G, alpha0, block_size),
-                                     lam)
+                                     lam)[0]
             ref = (np.zeros(d) if n == 0 else
                    oracles.block_pass_dense(current, history, G, alpha0, lam, block_size))
             scale = max(np.abs(ref).max(), np.abs(current).max())
@@ -294,7 +295,7 @@ class TestBlockKernel:
             partners = rng.choice(H.shape[0], size=n, replace=False)
             current = rng.standard_normal(d)
             got = solve_entity_block(current, partners, block_side(H, G, alpha0, b), lam,
-                                     passes)
+                                     passes)[0]
             if n == 0:
                 assert np.array_equal(got, np.zeros(d))
                 continue
@@ -330,12 +331,54 @@ class TestBlockKernel:
         assert np.array_equal(got, ref)
         assert sizes == [block_size] * (d // block_size)
 
+    @pytest.mark.parametrize("update", [update_users, update_items])
+    def test_block_half_step_matches_oracle_passes(self, rng, monkeypatch, update):
+        # user degrees 0, 2-3 and 30-60 against b = 16: empty rows,
+        # interaction-space (Woodbury) and b x b Cholesky blocks on both sides
+        d, b = 32, 16
+        users, items = [], []
+        for u in range(60):
+            deg = (0, 2, 3, 30, 45, 60)[u % 6]
+            users += [u] * deg
+            items += rng.choice(80, size=deg, replace=False).tolist()
+        data = InteractionSet.from_pairs(users, items, num_users=60, num_items=85)
+        model = init_model(60, 85, d, seed=5)
+        hp = hp_direct(dim=d, solver="block", block_size=b)
+        if update is update_users:
+            factors, fixed, ptr, partners = (model.user_factors, model.item_factors,
+                                             data.user_ptr, data.user_items)
+        else:
+            factors, fixed, ptr, partners = (model.item_factors, model.user_factors,
+                                             data.item_ptr, data.item_users)
+        degrees = np.diff(ptr)
+        assert (degrees == 0).any() and (degrees >= b).any()
+        lams = penalty_weights(data, hp)[update is update_items]
+        G, current = gramian(fixed), factors.copy()
+        sizes = self.spy_sizes(monkeypatch)
+        loss_s = half_step(update, model, data, hp)
+        assert b in sizes and min(sizes) < b
+        want_loss = 0.0
+        for e in range(factors.shape[0]):
+            history = fixed[partners[ptr[e]:ptr[e + 1]]]
+            n = history.shape[0]
+            start = current[e] if n else np.zeros(d)   # with no partners: the minimizer 0
+            dense = oracles.block_pass_dense(start, history, G, hp.alpha0, lams[e], b)
+            scale = max(np.abs(dense).max(), np.abs(start).max(), 1e-300)
+            if n >= b:
+                assert np.array_equal(factors[e], oracles.block_pass(
+                    start, history, G, hp.alpha0, lams[e], b)), e
+            else:
+                assert np.abs(factors[e] - dense).max() <= 1e-10 * scale, e
+            r = 1.0 - history @ factors[e]
+            want_loss += r @ r
+        assert loss_s == want_loss
+
 
 class TestUpdates:
     def test_normal_equation_residual(self, rng, small_data):
         model = init_model(small_data.num_users, small_data.num_items, 3, seed=1)
         hp = hp_direct()
-        update_users(model, small_data, hp)
+        half_step(update_users, model, small_data, hp)
         H = model.item_factors
         G = gramian(H)
         for u in range(small_data.num_users):
@@ -352,7 +395,7 @@ class TestUpdates:
         data = InteractionSet.from_pairs(users, items, num_users=8, num_items=6)
         model = init_model(8, 6, 3, seed=2)
         hp = hp_direct(nu=1.0)
-        update_users(model, data, hp)
+        half_step(update_users, model, data, hp)
         H = model.item_factors
         for u in range(8):
             lam_u = regularization_weight(data.items_of(u).size, 6,
@@ -366,7 +409,7 @@ class TestUpdates:
         data = InteractionSet.from_pairs(users, items, num_users=8, num_items=6)
         model = init_model(8, 6, 3, seed=4)
         hp = hp_direct(nu=0.5)
-        update_items(model, data, hp)
+        half_step(update_items, model, data, hp)
         W = model.user_factors
         for i in range(6):
             users_i = data.item_users[data.item_ptr[i]:data.item_ptr[i + 1]]
@@ -380,10 +423,10 @@ class TestUpdates:
         model = init_model(9, 7, 2, seed=6)
         prev = compute_losses(model, data, hp).L
         for _ in range(4):
-            update_users(model, data, hp)
+            half_step(update_users, model, data, hp)
             mid = compute_losses(model, data, hp).L
             assert mid <= prev * (1 + 1e-9)
-            update_items(model, data, hp)
+            half_step(update_items, model, data, hp)
             now = compute_losses(model, data, hp).L
             assert now <= mid * (1 + 1e-9)
             prev = now
@@ -392,7 +435,7 @@ class TestUpdates:
         data = InteractionSet.from_pairs([0, 0, 2], [0, 1, 1],
                                          num_users=3, num_items=2)
         model = init_model(3, 2, 2, seed=0)
-        update_users(model, data, hp_direct(dim=2))
+        half_step(update_users, model, data, hp_direct(dim=2))
         assert np.array_equal(model.user_factors[1], np.zeros(2))
 
     def test_normalized_mode_trains(self, rng, small_data):
@@ -422,7 +465,7 @@ class TestExactHalfStepBitwise:
                 ptr, partners, other = data.item_ptr, data.item_users, data.num_users
             lams = regularization_weight(np.diff(ptr), other, hp.alpha0, hp.nu, hp.lambda_)
             expected = oracles.exact_half_step(factors, fixed, ptr, partners, hp.alpha0, lams)
-            update(model, data, hp)
+            half_step(update, model, data, hp)
             assert np.array_equal(factors, expected), side
 
 
@@ -481,8 +524,8 @@ class TestProjectUser:
     def test_reproduces_training_user_exactly(self, rng, small_data):
         hp = hp_direct()
         model = init_model(small_data.num_users, small_data.num_items, 3, seed=3)
-        update_items(model, small_data, hp)
-        update_users(model, small_data, hp)
+        half_step(update_items, model, small_data, hp)
+        half_step(update_users, model, small_data, hp)
         H = model.item_factors
         side = block_side(H, gramian(H), hp.alpha0, hp.dim)
         for u in range(small_data.num_users):
@@ -534,7 +577,7 @@ class TestNonFiniteGuard:
         model = init_model(small_data.num_users, small_data.num_items, 3, seed=1)
         model.item_factors[0, 0] = np.nan
         with pytest.raises(IalsError, match="user half-step") as exc:
-            update_users(model, small_data, hp_direct())
+            half_step(update_users, model, small_data, hp_direct())
         bad = int((~np.isfinite(model.user_factors)).sum())
         assert bad > 0
         assert f"{bad} non-finite" in str(exc.value)
@@ -543,7 +586,7 @@ class TestNonFiniteGuard:
         model = init_model(small_data.num_users, small_data.num_items, 3, seed=1)
         model.user_factors[0, 0] = np.inf
         with pytest.raises(IalsError, match="item half-step"):
-            update_items(model, small_data, hp_direct())
+            half_step(update_items, model, small_data, hp_direct())
 
 
 class TestBlasPinning:
@@ -559,7 +602,7 @@ class TestBlasPinning:
 
         monkeypatch.setattr(ials.solver, "solve_entity", spy)
         model = init_model(small_data.num_users, small_data.num_items, 3, seed=1)
-        update_users(model, small_data, hp_direct())
+        half_step(update_users, model, small_data, hp_direct())
         assert len(during) == small_data.num_users
         assert all(counts == [1] * len(controls) for counts in during)
         assert [get() for get, _ in controls] == before
@@ -624,6 +667,19 @@ class TestTrain:
         # block path only makes one pass per half-step
         assert block_reports[-1].L == pytest.approx(exact_reports[-1].L, rel=0.05)
 
+    @pytest.mark.parametrize("block_size", [6, 9])
+    def test_one_block_trains_as_exact(self, rng, block_size):
+        # exact iALS is the one-block case of the block kernel, bit for bit
+        users, items = oracles.random_interactions(rng, 30, 20, min_deg=1, max_deg=8)
+        data = InteractionSet.from_pairs(users, items, num_users=34, num_items=24)
+        exact_hp = hp_direct(dim=6, nu=0.5, iterations=3)
+        block_hp = dataclasses.replace(exact_hp, solver="block", block_size=block_size)
+        exact_model, exact_reports = train(data, exact_hp)
+        block_model, block_reports = train(data, block_hp)
+        assert block_model.user_factors.tobytes() == exact_model.user_factors.tobytes()
+        assert block_model.item_factors.tobytes() == exact_model.item_factors.tobytes()
+        assert block_reports == exact_reports
+
 
 class TestFreeLoss:
     """train takes its reports from the half-steps; compute_losses is the reference."""
@@ -661,7 +717,7 @@ class TestFreeLoss:
     def test_half_step_loss_matches_compute_losses(self, small_data, update, solver):
         model = init_model(small_data.num_users, small_data.num_items, 3, seed=2)
         hp = hp_direct(solver=solver, block_size=2)
-        loss_s = update(model, small_data, hp)
+        loss_s = half_step(update, model, small_data, hp)
         ref = compute_losses(model, small_data, hp)
         assert abs(loss_s - ref.L_S) <= 1e-12 * ref.L_S
 
