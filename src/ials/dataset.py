@@ -688,7 +688,9 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
 
     Returns (validation, test); validation is None when both its files
     are absent.  The item vocabulary is the union over all files so
-    published splits evaluate exactly as distributed.
+    published splits evaluate exactly as distributed.  A user with no
+    target items, or no fold-in items to project from, is skipped with a
+    warning.
 
     Raises:
         InputError: a test file is missing, or one validation file is
@@ -729,10 +731,13 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
     def build(part) -> StrongGeneralizationSplit:
         (fi_users, fi_items), (tg_users, tg_items) = map(_by_user, parts[part])
         users = np.union1d(fi_users, tg_users)
-        has_target = np.isin(users, tg_users)
-        for u in users[~has_target]:
-            log.warning("%s: user %d has no target items, skipping", split_dir, u)
-        users = users[has_target]
+        keep = np.ones(users.size, dtype=bool)
+        for side, part_users in (("target", tg_users), ("fold-in", fi_users)):
+            has = np.isin(users, part_users)
+            for u in users[~has]:
+                log.warning("%s: user %d has no %s items, skipping", split_dir, u, side)
+            keep &= has
+        users = users[keep]
         fi_bounds = np.searchsorted(fi_users, users), np.searchsorted(fi_users, users, "right")
         tg_bounds = np.searchsorted(tg_users, users), np.searchsorted(tg_users, users, "right")
         return StrongGeneralizationSplit(train=train, users=[

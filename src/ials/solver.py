@@ -32,6 +32,10 @@ SOLVER_KINDS = ("exact", "block")
 # observed pairs: 2**20 // dim rows, so two 8 MiB gathers whatever dim is
 _LOSS_CHUNK_FLOATS = 2 ** 20
 
+# floats per chunk of alpha0 * X @ G, the block passes' start g, that a
+# half-step forms at once: 2**15 // dim rows, 256 KiB whatever dim is
+_START_CHUNK_FLOATS = 2 ** 15
+
 # A block is solved in the interaction space only while min(D) exceeds
 # this fraction of max(D); D^-1 magnifies rounding by their ratio.
 _WOODBURY_MIN_RATIO = 1e-8
@@ -211,7 +215,7 @@ def _woodbury_cheaper(n: int, b: int, passes: int) -> bool:
 
 
 def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
-                       lambda_entity: float, passes: int = 1,
+                       lambda_entity: float, passes: int = 1, g: np.ndarray | None = None,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic passes of exact block coordinate descent on the entity quadratic.
 
@@ -219,40 +223,57 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
     Each block of coordinates is minimized exactly with the others held at
     their current values, in order; the fixed point of repeated passes is
     the solve_entity solution.  With one block (exact iALS) it is the
-    closed-form solve_entity, whatever current and passes are.
+    closed-form solve_entity, whatever current, passes and g are.
 
-    Returns (x, r): a new vector x (current is not modified) and the
-    residuals r = 1 - history @ x of the entity's observed pairs, so r @ r
-    is its share of L_S.  With no partners the minimizer is 0 (b = 0, A
-    positive semi-definite), returned without solving, as in solve_entity.
+    g, when given, is alpha0 * G @ current, which a half-step forms for
+    many entities in one product; otherwise the first pass forms it, or
+    takes 0 from current = 0 (fold-in).  Neither current nor g is modified.
+
+    Returns (x, r): a new vector x and the residuals r = 1 - history @ x
+    of the entity's observed pairs, so r @ r is its share of L_S.  With no
+    partners the minimizer is 0 (b = 0, A positive semi-definite),
+    returned without solving, as in solve_entity.
 
     The d x d system is never formed (iALS++): each pass keeps r and
-    g = alpha0 * G @ x.  Each block system is factored once, on the first
-    pass, and later passes only run triangular solves, so P passes cost
+    g = alpha0 * G @ x, and a solved block updates g only on the blocks
+    after it, about (d*d - d*b) / 2 multiply-adds per pass.  Each block
+    system is factored once, on the first pass; later passes run only
+    triangular solves and form g afresh (d*d), so P passes cost
     O(n*d*b + d*b*b + P*(n*d + d*d)).
     A block is solved in the interaction space when that takes fewer flops
     (_woodbury_cheaper, about n < b): with D = lam + lambda_entity and
     S = history[:, B] @ Q @ D^-1/2, Woodbury factors the n x n I + S S'
     instead of the b x b block.  It falls back to the b x b factor when
     min(D) is tiny against max(D), where D^-1 would magnify rounding.
+
+    Raises:
+        InputError: current or g is not a vector of length d.
     """
+    d = side.G.shape[0]
+    if np.shape(current) != (d,):
+        raise InputError(f"current has shape {np.shape(current)}, expected ({d},)")
+    if g is not None and np.shape(g) != (d,):
+        raise InputError(f"g has shape {np.shape(g)}, expected ({d},)")
     history = side.factors[partners]
     if not side.blocks:
         x = solve_entity(history, side.alpha_G, lambda_entity)
         return x, 1.0 - history @ x
-    d = side.G.shape[0]
-    x = np.array(current, dtype=np.float64, copy=True)
-    if x.shape != (d,):
-        raise InputError(f"current has shape {x.shape}, expected ({d},)")
     n = history.shape[0]
     if n == 0:
         return np.zeros(d), np.empty(0)
+    x = np.array(current, dtype=np.float64, copy=True)
+    if g is not None:
+        g = np.array(g, dtype=np.float64, copy=True)
     # per block: the Cholesky factor, and (S, D^-1/2) on the n x n path
     chol = [None] * len(side.blocks)
     woodbury = [None] * len(side.blocks)
     for _ in range(passes):
-        r = 1.0 - history @ x
-        g = side.alpha0 * (side.G @ x)
+        if g is None and not x.any():
+            r, g = np.ones(n), np.zeros(d)
+        else:
+            r = 1.0 - history @ x
+            if g is None:
+                g = side.alpha0 * (side.G @ x)
         for k, (B, lam, Q, rotated) in enumerate(side.blocks):
             h = history[:, B]
             rhs = h.T @ r - g[B] - lambda_entity * x[B]
@@ -280,7 +301,9 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
                 delta = Q @ ((u - S.T @ delta) * scale)
             x[B] += delta
             r -= h @ delta
-            g += side.alpha0 * (side.G[:, B] @ delta)
+            if B.stop < d:
+                g[B.stop:] += side.alpha0 * (side.G[B.stop:, B] @ delta)
+        g = None   # stale after the pass: the next one forms it from x
     return x, 1.0 - history @ x
 
 
@@ -298,7 +321,9 @@ def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
                  lams: np.ndarray, G: np.ndarray) -> float:
     """Re-solve every row of `factors` against the fixed side, in place.
 
-    lams are the entities' L2 weights and G the Gramian of `fixed`.
+    lams are the entities' L2 weights and G the Gramian of `fixed`.  The
+    block solver's start g = alpha0 * x @ G comes from one matrix product
+    per chunk of _START_CHUNK_FLOATS // d rows; the exact solve needs none.
     Returns L_S, the sum of (1 - score)^2 over observed pairs with the
     updated factors, from the residuals each entity's solve returns.
 
@@ -306,12 +331,20 @@ def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
     never reaches a saved model.
     """
     prepared = solver_side(fixed, G, hp)
+    rows = max(1, _START_CHUNK_FLOATS // G.shape[0])
     loss_s = 0.0
     with blas_threads(1):
-        for e in range(factors.shape[0]):
-            factors[e], r = solve_entity_block(factors[e], partners[ptr[e]:ptr[e + 1]],
-                                               prepared, lams[e])
-            loss_s += r @ r
+        for first in range(0, factors.shape[0], rows):
+            chunk = range(first, min(first + rows, factors.shape[0]))
+            if prepared.blocks:
+                starts = factors[first:chunk.stop] @ G
+                starts *= hp.alpha0
+            else:   # the exact solve needs no g
+                starts = [None] * len(chunk)
+            for e, g in zip(chunk, starts):
+                factors[e], r = solve_entity_block(factors[e], partners[ptr[e]:ptr[e + 1]],
+                                                   prepared, lams[e], g=g)
+                loss_s += r @ r
     bad = np.count_nonzero(~np.isfinite(factors))
     if bad:
         raise IalsError(f"{side} half-step produced {bad} non-finite factor entries")

@@ -87,15 +87,16 @@ def block_pass_dense(current, history, G, alpha0, lambda_entity, block_size):
     return x
 
 
-def block_pass(current, history, G, alpha0, lambda_entity, block_size):
+def block_pass(current, history, G, alpha0, lambda_entity, block_size, g=None):
     """One cyclic block pass that assembles and factors every b x b block
     afresh and carries the residuals r = 1 - history @ x and g = alpha0 * G @ x
-    across blocks: the kernel's Cholesky path, one pass at a time."""
+    across blocks, g updated on every coordinate: the kernel's Cholesky
+    path, one pass at a time.  g, when given, is the start's alpha0 * G @ x."""
     d = G.shape[0]
     history = np.asarray(history, dtype=np.float64).reshape(-1, d)
     x = np.array(current, dtype=np.float64, copy=True)
     r = 1.0 - history @ x
-    g = alpha0 * (G @ x)
+    g = alpha0 * (G @ x) if g is None else np.array(g, dtype=np.float64, copy=True)
     for start in range(0, d, block_size):
         B = slice(start, min(start + block_size, d))
         h = history[:, B]

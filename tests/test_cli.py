@@ -474,6 +474,20 @@ class TestEvaluateCommand:
                   "--alpha0", "0.2", "--lambda", "0.02"])
         assert exc.value.code == 2
 
+    def test_user_without_fold_in_is_skipped(self, tmp_path, raw_file, capsys, caplog):
+        split, _, models = self._trained(tmp_path, raw_file, "strong-gen")
+        rows = (split / "test_fold_in.csv").read_text().splitlines()
+        user = rows[0].split(",")[0]
+        kept = [row for row in rows if row.split(",")[0] != user]
+        (split / "test_fold_in.csv").write_text("\n".join(kept) + "\n")
+        capsys.readouterr()
+        rc = main(["evaluate", "--split-dir", str(split), "--protocol", "strong-gen",
+                   "--model", str(models[0]), "--alpha0", "0.2", "--lambda", "0.02",
+                   *EVAL_KS])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["n_users"] == 3
+        assert f"user {user} has no fold-in items, skipping" in caplog.text
+
     def test_validation_part_without_validation_users(self, tmp_path, raw_file):
         out = tmp_path / "sg0"
         assert main(["split", "--data", str(raw_file), "--protocol",

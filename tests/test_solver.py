@@ -331,18 +331,31 @@ class TestBlockKernel:
         assert np.array_equal(got, ref)
         assert sizes == [block_size] * (d // block_size)
 
-    @pytest.mark.parametrize("update", [update_users, update_items])
-    def test_block_half_step_matches_oracle_passes(self, rng, monkeypatch, update):
+    @staticmethod
+    def spy_starts(monkeypatch):
+        """Record (current, g) of every solve_entity_block call, in order."""
+        calls = []
+        kernel = ials.solver.solve_entity_block
+
+        def spy(current, partners, side, lam, passes=1, g=None):
+            calls.append((np.array(current), None if g is None else np.array(g)))
+            return kernel(current, partners, side, lam, passes, g=g)
+        monkeypatch.setattr(ials.solver, "solve_entity_block", spy)
+        return calls
+
+    def check_half_step(self, rng, monkeypatch, update, n_users):
+        """Run a block half-step at d = 32, b = 16 and compare each entity
+        with the oracle pass from the start g the half-step handed it."""
         # user degrees 0, 2-3 and 30-60 against b = 16: empty rows,
         # interaction-space (Woodbury) and b x b Cholesky blocks on both sides
         d, b = 32, 16
         users, items = [], []
-        for u in range(60):
+        for u in range(n_users):
             deg = (0, 2, 3, 30, 45, 60)[u % 6]
             users += [u] * deg
             items += rng.choice(80, size=deg, replace=False).tolist()
-        data = InteractionSet.from_pairs(users, items, num_users=60, num_items=85)
-        model = init_model(60, 85, d, seed=5)
+        data = InteractionSet.from_pairs(users, items, num_users=n_users, num_items=85)
+        model = init_model(n_users, 85, d, seed=5)
         hp = hp_direct(dim=d, solver="block", block_size=b)
         if update is update_users:
             factors, fixed, ptr, partners = (model.user_factors, model.item_factors,
@@ -355,10 +368,15 @@ class TestBlockKernel:
         lams = penalty_weights(data, hp)[update is update_items]
         G, current = gramian(fixed), factors.copy()
         sizes = self.spy_sizes(monkeypatch)
+        calls = self.spy_starts(monkeypatch)
         loss_s = half_step(update, model, data, hp)
         assert b in sizes and min(sizes) < b
+        assert len(calls) == factors.shape[0]
         want_loss = 0.0
-        for e in range(factors.shape[0]):
+        for e, (got_current, g) in enumerate(calls):
+            assert np.array_equal(got_current, current[e]), e
+            want_g = hp.alpha0 * (G @ current[e])
+            assert np.abs(g - want_g).max() <= 1e-13 * np.abs(want_g).max(), e
             history = fixed[partners[ptr[e]:ptr[e + 1]]]
             n = history.shape[0]
             start = current[e] if n else np.zeros(d)   # with no partners: the minimizer 0
@@ -366,12 +384,42 @@ class TestBlockKernel:
             scale = max(np.abs(dense).max(), np.abs(start).max(), 1e-300)
             if n >= b:
                 assert np.array_equal(factors[e], oracles.block_pass(
-                    start, history, G, hp.alpha0, lams[e], b)), e
+                    start, history, G, hp.alpha0, lams[e], b, g=g)), e
             else:
                 assert np.abs(factors[e] - dense).max() <= 1e-10 * scale, e
             r = 1.0 - history @ factors[e]
             want_loss += r @ r
         assert loss_s == want_loss
+
+    @pytest.mark.parametrize("update", [update_users, update_items])
+    def test_block_half_step_matches_oracle_passes(self, rng, monkeypatch, update):
+        self.check_half_step(rng, monkeypatch, update, n_users=60)
+
+    @pytest.mark.parametrize("update", [update_users, update_items])
+    def test_start_chunks_keep_their_rows(self, rng, monkeypatch, update):
+        # chunks of 2 rows over 61 users and 85 items: the last chunk is
+        # one row, and every other row sits at an offset of 0 or 1
+        monkeypatch.setattr(ials.solver, "_START_CHUNK_FLOATS", 2 * 32)
+        self.check_half_step(rng, monkeypatch, update, n_users=61)
+
+    def test_exact_half_step_passes_no_start(self, rng, monkeypatch):
+        data = make_interactions(rng, n_users=8, n_items=6)
+        model = init_model(8, 6, 3, seed=1)
+        calls = self.spy_starts(monkeypatch)
+        half_step(update_users, model, data, hp_direct())
+        assert [g for _, g in calls] == [None] * 8
+
+    @pytest.mark.parametrize("block_size", [2, 3, 5])
+    @pytest.mark.parametrize("wrong", ["current", "g"])
+    def test_wrong_shape_is_input_error(self, rng, block_size, wrong):
+        # block_size 3 and 5 at d = 3: one block, the exact solve
+        H = rng.standard_normal((10, 3))
+        side = block_side(H, gramian(H), 0.1, block_size)
+        vectors = {"current": np.zeros(3), "g": np.zeros(3)}
+        vectors[wrong] = np.zeros(4)
+        with pytest.raises(InputError, match=f"{wrong} has shape"):
+            solve_entity_block(vectors["current"], np.array([0, 1]), side, 0.1,
+                               g=vectors["g"])
 
 
 class TestUpdates:
