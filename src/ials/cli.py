@@ -155,6 +155,26 @@ def _ndcg_ks(ns: argparse.Namespace) -> tuple[int, ...]:
     return ns.ndcg_ks or ((10,) if ns.protocol == "loo" else (100,))
 
 
+def _load_split(ns: argparse.Namespace) -> tuple:
+    """--split-dir under --protocol as (validation or None, test)."""
+    if ns.protocol == "strong-gen":
+        return ds.load_strong_generalization(ns.split_dir)
+    return None, ds.load_leave_one_out(ns.split_dir)
+
+
+def _score(ns: argparse.Namespace, model, split, hp: Hyperparameters | None = None
+           ) -> mt.MetricReport:
+    """Score model on split under --protocol with the k flags.
+
+    Strong-gen fold-in uses hp, by default the flags' with the model's dim.
+    """
+    if ns.protocol == "loo":
+        return mt.evaluate_sampled(model, split, ks=_ndcg_ks(ns))
+    return mt.evaluate_strong_generalization(
+        model, split, hp or _build_hp(ns, dim=model.dim),
+        recall_ks=ns.recall_ks, ndcg_ks=_ndcg_ks(ns))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -232,18 +252,13 @@ def cmd_train(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    validation, test = _load_split(ns)
     eval_fn = None
-    if ns.protocol == "strong-gen":
-        validation, test = ds.load_strong_generalization(ns.split_dir)
-        train_data = test.train
-        if ns.log_validation and validation is not None and validation.users:
-            def eval_fn(model, _split=validation):
-                return mt.evaluate_strong_generalization(
-                    model, _split, hp, recall_ks=ns.recall_ks, ndcg_ks=_ndcg_ks(ns))
-    else:
-        train_data = ds.load_leave_one_out(ns.split_dir).train
+    if ns.log_validation and validation is not None and validation.users.size:
+        def eval_fn(model):
+            return _score(ns, model, validation, hp)
 
-    paths = [_train_one(train_data, hp, out_dir, hp.seed + r, eval_fn=eval_fn)
+    paths = [_train_one(test.train, hp, out_dir, hp.seed + r, eval_fn=eval_fn)
              for r in range(ns.repeats)]
     print("\n".join(str(p) for p in paths))
     return 0
@@ -266,22 +281,12 @@ def _aggregate(reports: list[mt.MetricReport]) -> dict:
 
 def cmd_evaluate(ns: argparse.Namespace) -> int:
     _require(ns, "split_dir", "protocol", "model")
-    ndcg_ks = _ndcg_ks(ns)
-    if ns.protocol == "strong-gen":
-        validation, split = ds.load_strong_generalization(ns.split_dir)
-        if ns.part == "validation":
-            if validation is None or not validation.users:
-                raise InputError(f"{ns.split_dir} has no validation users")
-            split = validation
-        reports, hp = [], None
-        for model in map(load_model, ns.model):
-            hp = hp or _build_hp(ns, dim=model.dim)
-            reports.append(mt.evaluate_strong_generalization(
-                model, split, hp, recall_ks=ns.recall_ks, ndcg_ks=ndcg_ks))
-    else:
-        split = ds.load_leave_one_out(ns.split_dir)
-        reports = [mt.evaluate_sampled(load_model(path), split, ks=ndcg_ks)
-                   for path in ns.model]
+    validation, split = _load_split(ns)
+    if ns.part == "validation":
+        if validation is None or not validation.users.size:
+            raise InputError(f"{ns.split_dir} has no validation users")
+        split = validation
+    reports = [_score(ns, model, split) for model in map(load_model, ns.model)]
     text = json.dumps(_aggregate(reports), indent=2)
     print(text)
     if ns.out:
@@ -291,7 +296,7 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     _require(ns, "split_dir", "protocol")
-    recall_ks, ndcg_ks = ns.recall_ks, _ndcg_ks(ns)
+    ndcg_ks = _ndcg_ks(ns)
     if ns.lambda_grid is not None and ns.lambda_star_grid is not None:
         raise InputError("set only one of --lambda-grid / --lambda-star-grid")
     direct = ns.lambda_grid is not None
@@ -301,32 +306,20 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     reg_col = "lambda" if direct else "lambda_star"
     base = _build_hp(ns, alpha0=ns.alpha0_grid[0], **{reg_field: reg_grid[0]})
 
-    if ns.protocol == "strong-gen":
-        validation, test = ds.load_strong_generalization(ns.split_dir)
-        if validation is None or not validation.users:
-            raise InputError(f"{ns.split_dir} has no validation users to sweep on")
-        train_data = validation.train
-        metric = ns.metric or f"ndcg@{ndcg_ks[0]}"
-
-        def evaluate(model, hp):
-            return mt.evaluate_strong_generalization(
-                model, validation, hp, recall_ks=recall_ks, ndcg_ks=ndcg_ks)
-    else:
-        outer = ds.load_leave_one_out(ns.split_dir)
+    validation, test = _load_split(ns)
+    if ns.protocol == "loo":
         # No validation artifacts exist under leave-one-out, so carve an
         # inner validation split out of the training interactions.
-        inner = ds.leave_one_out_split(
-            outer.train, n_negatives=outer.negatives.shape[1], seed=ns.seed,
+        validation = ds.leave_one_out_split(
+            test.train, n_negatives=test.negatives.shape[1], seed=ns.seed,
             skip_sparse_users=True)
-        skipped = outer.train.num_users - inner.users.size
+        skipped = test.train.num_users - validation.users.size
         if skipped:
             log.warning("inner validation split skips %d user(s) with fewer than "
                         "2 training interactions", skipped)
-        train_data = inner.train
-        metric = ns.metric or f"hr@{ndcg_ks[0]}"
-
-        def evaluate(model, hp):
-            return mt.evaluate_sampled(model, inner, ks=ndcg_ks)
+    elif validation is None or not validation.users.size:
+        raise InputError(f"{ns.split_dir} has no validation users to sweep on")
+    metric = ns.metric or f"{'hr' if ns.protocol == 'loo' else 'ndcg'}@{ndcg_ks[0]}"
 
     metric_names = None
     rows = []
@@ -337,8 +330,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             tag = f"alpha0={alpha0:g} {reg_col}={reg:g}"
             try:
                 started = time.perf_counter()
-                model, _ = train(train_data, hp)
-                report = evaluate(model, hp)
+                model, _ = train(validation.train, hp)
+                report = _score(ns, model, validation, hp)
                 elapsed = time.perf_counter() - started
             except IalsError as exc:
                 log.warning("grid point %s failed: %s", tag, exc)

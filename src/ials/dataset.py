@@ -12,7 +12,6 @@ from __future__ import annotations
 import gzip
 import io
 import logging
-import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -166,24 +165,21 @@ class InteractionSet:
 
 
 @dataclass(frozen=True)
-class HoldoutUser:
-    """One evaluation user: revealed fold-in items and hidden target items."""
-
-    user: int
-    fold_in: np.ndarray
-    target: np.ndarray
-
-
-@dataclass(frozen=True)
 class StrongGeneralizationSplit:
-    """Evaluation users are absent from train; part of their history is revealed."""
+    """Evaluation users are absent from train; part of their history is revealed.
+
+    fold_in holds the evaluation users' revealed (user, item) pairs and
+    target their hidden ones, both over train's users and items.
+    """
 
     train: InteractionSet
-    users: list[HoldoutUser]
+    fold_in: InteractionSet
+    target: InteractionSet
 
     @property
-    def num_items(self) -> int:
-        return self.train.num_items
+    def users(self) -> np.ndarray:
+        """The evaluation users, ascending: those with fold-in and target items."""
+        return np.flatnonzero((self.fold_in.user_counts > 0) & (self.target.user_counts > 0))
 
 
 @dataclass(frozen=True)
@@ -464,25 +460,29 @@ def strong_generalization_split(data: InteractionSet, n_holdout_users: int,
     in_train_vocab = train.item_counts > 0
 
     def build(users: np.ndarray) -> StrongGeneralizationSplit:
-        holdout = []
-        dropped = 0
+        # a seeded shuffle of each user's items; the first ceil(f * n) are revealed
+        shuffled = [np.empty(0, dtype=np.int64)]
         for u in users:
             row = data.items_of(u)
-            perm = rng.permutation(row.size)
-            n_fold = math.ceil(fold_in_fraction * row.size)
-            fold_in = row[perm[:n_fold]]
-            target = row[perm[n_fold:]]
-            fold_in = np.sort(fold_in[in_train_vocab[fold_in]])
-            target = np.sort(target[in_train_vocab[target]])
-            if fold_in.size == 0 or target.size == 0:
-                dropped += 1
-                continue
-            holdout.append(HoldoutUser(user=int(u), fold_in=fold_in, target=target))
-        if dropped:
+            shuffled.append(row[rng.permutation(row.size)])
+        n = counts[users]
+        pair_users, items = np.repeat(users, n), np.concatenate(shuffled)
+        revealed = (np.arange(items.size) - np.repeat(np.cumsum(n) - n, n)
+                    < np.repeat(np.ceil(fold_in_fraction * n), n))
+        # keep the items train knows, and the users left with both sides
+        known = in_train_vocab[items]
+        usable = np.ones(data.num_users, dtype=bool)
+        for side in (revealed, ~revealed):
+            usable &= np.bincount(pair_users[known & side], minlength=data.num_users) > 0
+        if dropped := users.size - int(usable.sum()):
             log.warning(
                 "dropped %d evaluation users whose fold-in or target emptied "
                 "after restricting to the train item vocabulary", dropped)
-        return StrongGeneralizationSplit(train=train, users=holdout)
+        keep = known & usable[pair_users]
+        fold_in, target = (InteractionSet.from_pairs(
+            pair_users[keep & side], items[keep & side],
+            num_users=data.num_users, num_items=data.num_items) for side in (revealed, ~revealed))
+        return StrongGeneralizationSplit(train=train, fold_in=fold_in, target=target)
 
     return build(val_users), build(test_users)
 
@@ -572,14 +572,6 @@ def _write_table(path, table: np.ndarray) -> None:
             fh.write((line * len(block)).format(*block.ravel().tolist()))
 
 
-def _write_holdout_users(path, holdout_users, part):
-    items = [getattr(hu, part) for hu in holdout_users]
-    users = [np.full(row.size, hu.user) for hu, row in zip(holdout_users, items)]
-    none = np.empty(0, dtype=np.int64)
-    _write_table(path, np.column_stack((np.concatenate([none, *users]),
-                                        np.concatenate([none, *items]))))
-
-
 def _int_lines(block: str, lineno: int, path, width: int | None) -> np.ndarray:
     """Rows of a block of split-file lines read one at a time with int();
     the block starts at file line `lineno`.
@@ -661,11 +653,9 @@ def save_strong_generalization(out_dir, validation: StrongGeneralizationSplit,
                                test: StrongGeneralizationSplit) -> None:
     os.makedirs(out_dir, exist_ok=True)
     out = Path(out_dir)
-    _write_table(out / "train.csv", np.column_stack(validation.train.pairs()))
-    _write_holdout_users(out / "validation_fold_in.csv", validation.users, "fold_in")
-    _write_holdout_users(out / "validation_target.csv", validation.users, "target")
-    _write_holdout_users(out / "test_fold_in.csv", test.users, "fold_in")
-    _write_holdout_users(out / "test_target.csv", test.users, "target")
+    parts = (validation.train, validation.fold_in, validation.target, test.fold_in, test.target)
+    for name, part in zip(STRONG_GEN_FILES, parts):
+        _write_table(out / name, np.column_stack(part.pairs()))
 
 
 def save_leave_one_out(out_dir, split: LeaveOneOutSplit) -> None:
@@ -674,12 +664,6 @@ def save_leave_one_out(out_dir, split: LeaveOneOutSplit) -> None:
     _write_table(out / "train.csv", np.column_stack(split.train.pairs()))
     _write_table(out / "test_holdout.csv", np.column_stack((split.users, split.holdout)))
     _write_table(out / "test_negatives.csv", np.column_stack((split.users, split.negatives)))
-
-
-def _by_user(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(users, items) columns of (user, item) rows sorted by user, then item."""
-    order = np.lexsort((rows[:, 1], rows[:, 0]))
-    return rows[order, 0], rows[order, 1]
 
 
 def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | None,
@@ -695,7 +679,8 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
     Raises:
         InputError: a test file is missing, or one validation file is
             present without the other, or a (user, item) pair occurs
-            twice in a part's fold-in and target files together.
+            twice in a part's fold-in and target files together, or no
+            test user has both fold-in and target items.
     """
     d = Path(split_dir)
     train_rows = _read_int_table(d / "train.csv", 2)
@@ -711,7 +696,7 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
             # a repeated pair counts twice; a target also in fold-in is never ranked
             for where, rows in ((d / names[0], parts[part][0]), (d / names[1], parts[part][1]),
                                 (f"{d}: {names[0]} and {names[1]}", np.vstack(parts[part]))):
-                users, items = _by_user(rows)
+                users, items = rows[np.lexsort((rows[:, 1], rows[:, 0]))].T
                 twice = np.flatnonzero((users[1:] == users[:-1]) & (items[1:] == items[:-1]))
                 if twice.size:
                     raise InputError(f"{where}: user {users[twice[0]]} lists item "
@@ -729,24 +714,21 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
     )
 
     def build(part) -> StrongGeneralizationSplit:
-        (fi_users, fi_items), (tg_users, tg_items) = map(_by_user, parts[part])
-        users = np.union1d(fi_users, tg_users)
-        keep = np.ones(users.size, dtype=bool)
-        for side, part_users in (("target", tg_users), ("fold-in", fi_users)):
-            has = np.isin(users, part_users)
-            for u in users[~has]:
+        fold_in, target = (InteractionSet.from_pairs(
+            rows[:, 0], rows[:, 1], num_users=train.num_users, num_items=train.num_items)
+            for rows in parts[part])
+        has_fold_in, has_target = fold_in.user_counts > 0, target.user_counts > 0
+        for side, lacking in (("target", has_fold_in & ~has_target),
+                              ("fold-in", has_target & ~has_fold_in)):
+            for u in np.flatnonzero(lacking):
                 log.warning("%s: user %d has no %s items, skipping", split_dir, u, side)
-            keep &= has
-        users = users[keep]
-        fi_bounds = np.searchsorted(fi_users, users), np.searchsorted(fi_users, users, "right")
-        tg_bounds = np.searchsorted(tg_users, users), np.searchsorted(tg_users, users, "right")
-        return StrongGeneralizationSplit(train=train, users=[
-            HoldoutUser(user=int(u), fold_in=fi_items[fa:fb], target=tg_items[ta:tb])
-            for u, fa, fb, ta, tb in zip(users, *fi_bounds, *tg_bounds)
-        ])
+        return StrongGeneralizationSplit(train=train, fold_in=fold_in, target=target)
 
     validation = build("validation") if "validation" in parts else None
-    return validation, build("test")
+    test = build("test")
+    if not test.users.size:
+        raise InputError(f"{d}: no test user has both fold-in and target items")
+    return validation, test
 
 
 def load_leave_one_out(split_dir) -> LeaveOneOutSplit:

@@ -105,18 +105,20 @@ def evaluate_strong_generalization(model: FactorModel, split: StrongGeneralizati
     side = solver_side(H, gramian(H), hp)
     max_k = max([*recall_ks, *ndcg_ks])
 
+    users = split.users
     names = [f"recall@{k}" for k in recall_ks] + [f"ndcg@{k}" for k in ndcg_ks]
-    values = {name: np.zeros(len(split.users)) for name in names}
-    for idx, hu in enumerate(split.users):
-        w = project_user(hu.fold_in, side, hp)
-        ranked = rank_items(H @ w, exclude=hu.fold_in, k=max_k)
+    values = {name: np.zeros(users.size) for name in names}
+    for idx, u in enumerate(users):
+        fold_in, target = split.fold_in.items_of(u), split.target.items_of(u)
+        w = project_user(fold_in, side, hp)
+        ranked = rank_items(H @ w, exclude=fold_in, k=max_k)
         for k in recall_ks:
-            values[f"recall@{k}"][idx] = recall_at_k(ranked, hu.target, k)
+            values[f"recall@{k}"][idx] = recall_at_k(ranked, target, k)
         for k in ndcg_ks:
-            values[f"ndcg@{k}"][idx] = ndcg_at_k(ranked, hu.target, k)
+            values[f"ndcg@{k}"][idx] = ndcg_at_k(ranked, target, k)
 
     means = {name: float(v.mean()) if v.size else 0.0 for name, v in values.items()}
-    return MetricReport(means=means, n_users=len(split.users),
+    return MetricReport(means=means, n_users=int(users.size),
                         per_user=values if keep_per_user else None)
 
 
@@ -127,7 +129,8 @@ def evaluate_sampled(model: FactorModel, split: LeaveOneOutSplit, ks=(10,),
     Uses the trained user embedding directly (leave-one-out users stay in
     the training set).  The holdout's rank among the 1 + n_negatives
     candidates follows the shared tie rule: a negative places ahead on a
-    strictly higher score, or an equal score with a lower item index.
+    strictly higher score, or an equal score with a lower item index.  A
+    NaN score ranks last, as in rank_items.
     """
     if model.num_items != split.train.num_items:
         raise DimensionMismatch(
@@ -148,7 +151,10 @@ def evaluate_sampled(model: FactorModel, split: LeaveOneOutSplit, ks=(10,),
         w = W[u]
         s_held = float(H[held] @ w)
         s_negs = H[negs] @ w
-        ahead = int(((s_negs > s_held) | ((s_negs == s_held) & (negs < held))).sum())
+        if math.isnan(s_held):  # behind every number and every lower-index NaN
+            ahead = int((~np.isnan(s_negs) | (negs < held)).sum())
+        else:
+            ahead = int(((s_negs > s_held) | ((s_negs == s_held) & (negs < held))).sum())
         rank = 1 + ahead
         for k in ks:
             values[f"hr@{k}"][idx] = hit_rate_at_k(rank, k)

@@ -188,6 +188,35 @@ def exact_half_step(factors, fixed, ptr, partners, alpha0, lams):
     return out
 
 
+def strong_generalization_parts(data, n_holdout_users, n_validation_users,
+                                fold_in_fraction, min_user_interactions, seed):
+    """Per-user loop reference for ials.dataset.strong_generalization_split.
+
+    Returns (validation, test), each {user: (fold-in items, target items)}
+    with sorted item lists, for the users kept in that part.
+    """
+    counts = data.user_counts
+    has_target = np.ceil(fold_in_fraction * counts) < counts
+    eligible = np.flatnonzero(has_target & (counts >= min_user_interactions))
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(eligible, size=n_holdout_users + n_validation_users, replace=False)
+    train_items = {i for u in range(data.num_users) if u not in chosen
+                   for i in data.items_of(u).tolist()}
+    parts = []
+    for users in (np.sort(chosen[:n_validation_users]), np.sort(chosen[n_validation_users:])):
+        part = {}
+        for u in users:
+            row = data.items_of(u)
+            perm = rng.permutation(row.size)
+            n_fold = math.ceil(fold_in_fraction * row.size)
+            fold_in = sorted(i for i in row[perm[:n_fold]].tolist() if i in train_items)
+            target = sorted(i for i in row[perm[n_fold:]].tolist() if i in train_items)
+            if fold_in and target:
+                part[int(u)] = (fold_in, target)
+        parts.append(part)
+    return tuple(parts)
+
+
 def _open_text(path):
     if str(path).endswith(".gz"):
         return gzip.open(path, "rt", encoding="utf-8")
@@ -288,11 +317,11 @@ def _write_pairs_lines(path, users, items):
             fh.write(f"{u},{i}\n")
 
 
-def _write_holdout_users_lines(path, holdout_users, part):
+def _write_holdout_users_lines(path, split, part):
     with open(path, "w", encoding="utf-8") as fh:
-        for hu in holdout_users:
-            for i in getattr(hu, part):
-                fh.write(f"{hu.user},{i}\n")
+        for u in split.users:
+            for i in getattr(split, part).items_of(u):
+                fh.write(f"{u},{i}\n")
 
 
 def write_id_maps_lines(out_dir, data) -> None:
@@ -310,10 +339,10 @@ def save_strong_generalization_lines(out_dir, validation, test) -> None:
     os.makedirs(out_dir, exist_ok=True)
     out = Path(out_dir)
     _write_pairs_lines(out / "train.csv", *validation.train.pairs())
-    _write_holdout_users_lines(out / "validation_fold_in.csv", validation.users, "fold_in")
-    _write_holdout_users_lines(out / "validation_target.csv", validation.users, "target")
-    _write_holdout_users_lines(out / "test_fold_in.csv", test.users, "fold_in")
-    _write_holdout_users_lines(out / "test_target.csv", test.users, "target")
+    _write_holdout_users_lines(out / "validation_fold_in.csv", validation, "fold_in")
+    _write_holdout_users_lines(out / "validation_target.csv", validation, "target")
+    _write_holdout_users_lines(out / "test_fold_in.csv", test, "fold_in")
+    _write_holdout_users_lines(out / "test_target.csv", test, "target")
 
 
 def save_leave_one_out_lines(out_dir, split) -> None:

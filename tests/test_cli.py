@@ -488,6 +488,38 @@ class TestEvaluateCommand:
         assert json.loads(capsys.readouterr().out)["n_users"] == 3
         assert f"user {user} has no fold-in items, skipping" in caplog.text
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_no_usable_test_user_is_input_error(self, tmp_path, raw_file, capsys, caplog,
+                                                command):
+        split, _, models = self._trained(tmp_path, raw_file, "strong-gen")
+        row = (split / "test_target.csv").read_text().splitlines()[0]
+        (split / "test_target.csv").write_text(row + "\n")
+        user = row.split(",")[0]
+        rows = (split / "test_fold_in.csv").read_text().splitlines()
+        kept = [r for r in rows if r.split(",")[0] != user]
+        assert len(set(r.split(",")[0] for r in kept)) == 3
+        (split / "test_fold_in.csv").write_text("\n".join(kept) + "\n")
+        capsys.readouterr()
+        if command == "train":
+            argv = ["train", "--out", str(tmp_path / "again"), *TRAIN_FLAGS]
+        else:
+            argv = ["evaluate", "--model", str(models[0]), "--alpha0", "0.2",
+                    "--lambda", "0.02", *EVAL_KS]
+        rc = main([*argv, "--split-dir", str(split), "--protocol", "strong-gen"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        assert f"{split}: no test user has both fold-in and target items" in caplog.text
+
+    def test_validation_part_under_loo_is_input_error(self, tmp_path, raw_file, capsys,
+                                                      caplog):
+        split, _, models = self._trained(tmp_path, raw_file, "loo")
+        capsys.readouterr()
+        rc = main(["evaluate", "--split-dir", str(split), "--protocol", "loo",
+                   "--part", "validation", "--model", str(models[0])])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        assert f"{split} has no validation users" in caplog.text
+
     def test_validation_part_without_validation_users(self, tmp_path, raw_file):
         out = tmp_path / "sg0"
         assert main(["split", "--data", str(raw_file), "--protocol",

@@ -186,7 +186,7 @@ class TestStrongGeneralizationSplit:
     def test_eval_users_leave_train(self, rng):
         data = make_interactions(rng, n_users=30, n_items=12, min_deg=5)
         val, test = strong_generalization_split(data, 5, 4, seed=7)
-        eval_users = {hu.user for hu in val.users} | {hu.user for hu in test.users}
+        eval_users = set(val.users.tolist()) | set(test.users.tolist())
         assert len(eval_users) == 9
         for u in eval_users:
             assert val.train.items_of(u).size == 0
@@ -197,33 +197,36 @@ class TestStrongGeneralizationSplit:
     def test_fold_in_fraction_ceil(self, rng):
         data = make_interactions(rng, n_users=20, n_items=15, min_deg=5, max_deg=5)
         _, test = strong_generalization_split(data, 6, 0, fold_in_fraction=0.8, seed=1)
-        for hu in test.users:
+        for u in test.users:
+            fold_in, target = test.fold_in.items_of(u), test.target.items_of(u)
             # ceil(0.8 * 5) = 4 revealed, 1 target (before vocab filtering)
-            assert hu.fold_in.size + hu.target.size <= 5
-            assert hu.target.size >= 1
+            assert fold_in.size + target.size <= 5
+            assert target.size >= 1
 
     def test_fold_in_target_disjoint_and_complete(self, rng):
         data = make_interactions(rng, n_users=25, n_items=10, min_deg=5)
         val, test = strong_generalization_split(data, 6, 3, seed=3)
-        for hu in list(val.users) + list(test.users):
-            combined = set(hu.fold_in) | set(hu.target)
-            assert not set(hu.fold_in) & set(hu.target)
-            assert combined <= set(data.items_of(hu.user).tolist())
+        for split in (val, test):
+            for u in split.users:
+                fold_in, target = split.fold_in.items_of(u), split.target.items_of(u)
+                combined = set(fold_in) | set(target)
+                assert not set(fold_in) & set(target)
+                assert combined <= set(data.items_of(u).tolist())
 
     def test_same_seed_identical(self, rng):
         data = make_interactions(rng, n_users=30, n_items=12, min_deg=5)
         a_val, a_test = strong_generalization_split(data, 5, 5, seed=11)
         b_val, b_test = strong_generalization_split(data, 5, 5, seed=11)
-        assert [hu.user for hu in a_test.users] == [hu.user for hu in b_test.users]
-        for x, y in zip(a_test.users, b_test.users):
-            assert np.array_equal(x.fold_in, y.fold_in)
-            assert np.array_equal(x.target, y.target)
+        assert a_test.users.tolist() == b_test.users.tolist()
+        for u in a_test.users:
+            assert np.array_equal(a_test.fold_in.items_of(u), b_test.fold_in.items_of(u))
+            assert np.array_equal(a_test.target.items_of(u), b_test.target.items_of(u))
 
     def test_different_seed_differs(self, rng):
         data = make_interactions(rng, n_users=40, n_items=12, min_deg=5)
         _, a = strong_generalization_split(data, 8, 0, seed=1)
         _, b = strong_generalization_split(data, 8, 0, seed=2)
-        assert {hu.user for hu in a.users} != {hu.user for hu in b.users}
+        assert set(a.users.tolist()) != set(b.users.tolist())
 
     def test_min_interactions_respected(self):
         # users 0-2 have 5 interactions, users 3-7 have 8
@@ -233,8 +236,30 @@ class TestStrongGeneralizationSplit:
                 [i for _ in range(3, 8) for i in range(8)]
         data = InteractionSet.from_pairs(users, items)
         _, test = strong_generalization_split(data, 3, 0, min_user_interactions=6, seed=0)
-        for hu in test.users:
-            assert data.items_of(hu.user).size >= 6
+        for u in test.users:
+            assert data.items_of(u).size >= 6
+
+    def test_matches_loop_reference(self):
+        dropped = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            # 150 pairs over 150 items: many items belong to evaluation users
+            # only, so a user can lose a whole side and be dropped
+            data = InteractionSet.from_pairs(rng.integers(0, 30, 150),
+                                             rng.integers(0, 150, 150),
+                                             num_users=30, num_items=150)
+            args = dict(n_holdout_users=3, n_validation_users=2, fold_in_fraction=0.5,
+                        min_user_interactions=2, seed=seed)
+            splits = strong_generalization_split(data, **args)
+            for split, part in zip(splits, oracles.strong_generalization_parts(data, **args)):
+                assert split.users.tolist() == sorted(part)
+                for u, (fold_in, target) in part.items():
+                    assert split.fold_in.items_of(u).tolist() == fold_in
+                    assert split.target.items_of(u).tolist() == target
+                assert split.fold_in.num_pairs == sum(len(f) for f, _ in part.values())
+                assert split.target.num_pairs == sum(len(t) for _, t in part.values())
+                dropped += (2 if split is splits[0] else 3) - len(part)
+        assert dropped > 0
 
     def test_insufficient_users(self, rng):
         data = make_interactions(rng, n_users=5, n_items=8, min_deg=5)
@@ -252,7 +277,7 @@ class TestStrongGeneralizationSplit:
         data = InteractionSet.from_pairs(users, items)
         for seed in range(5):
             _, test = strong_generalization_split(data, 3, 0, seed=seed)
-            assert all(hu.user != 0 for hu in test.users)
+            assert all(u != 0 for u in test.users)
 
 
 class TestLeaveOneOutSplit:
@@ -330,11 +355,11 @@ class TestSplitDirIO:
 
         val2, test2 = ials.dataset.load_strong_generalization(out)
         assert np.array_equal(test2.train.user_items, test.train.user_items)
-        assert [hu.user for hu in val2.users] == sorted(hu.user for hu in val.users)
-        by_user = {hu.user: hu for hu in test.users}
-        for hu in test2.users:
-            assert np.array_equal(hu.fold_in, by_user[hu.user].fold_in)
-            assert np.array_equal(hu.target, by_user[hu.user].target)
+        assert val2.users.tolist() == sorted(val.users.tolist())
+        for u in test2.users:
+            assert u in test.users
+            assert np.array_equal(test2.fold_in.items_of(u), test.fold_in.items_of(u))
+            assert np.array_equal(test2.target.items_of(u), test.target.items_of(u))
 
     def test_loo_round_trip(self, rng, tmp_path):
         data = make_interactions(rng, n_users=10, n_items=12, min_deg=2, max_deg=6)

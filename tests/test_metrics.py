@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ials.dataset import leave_one_out_split, strong_generalization_split
+from ials.dataset import InteractionSet, leave_one_out_split, strong_generalization_split
 from ials.errors import DimensionMismatch
 from ials.metrics import (
     EmptyRelevantSet,
@@ -15,7 +15,7 @@ from ials.metrics import (
     ndcg_at_k,
     recall_at_k,
 )
-from ials.model import FactorModel, RankedList, init_model
+from ials.model import FactorModel, RankedList, init_model, rank_items
 from ials.solver import Hyperparameters, train
 
 import oracles
@@ -131,14 +131,21 @@ class TestEvaluateStrongGeneralization:
         # yields positive weight exactly on fold-in coordinates, so force
         # perfection instead with a doctored item matrix per target: use a
         # single holdout user and put all mass on their targets.
-        hu = test.users[0]
-        test_one = type(test)(train=test.train, users=[hu])
+        u = test.users[0]
+
+        def only_u(part):
+            items = part.items_of(u)
+            return InteractionSet.from_pairs(np.full(items.size, u), items,
+                                             num_users=part.num_users, num_items=part.num_items)
+
+        test_one = type(test)(train=test.train, fold_in=only_u(test.fold_in),
+                              target=only_u(test.target))
         d = test.train.num_items
         H = np.zeros((d, d))
         H[np.arange(d), np.arange(d)] = 1e-6
-        for t in hu.target:
+        for t in test.target.items_of(u):
             H[t, t] = 0.0
-            H[t, hu.fold_in[0]] = 1.0  # ride the fold-in coordinate
+            H[t, test.fold_in.items_of(u)[0]] = 1.0  # ride the fold-in coordinate
         W = np.zeros((test.train.num_users, d))
         model = FactorModel(W, H)
         hp = Hyperparameters(dim=d, alpha0=0.0, lambda_=1e-9, nu=0.0)
@@ -157,12 +164,13 @@ class TestEvaluateStrongGeneralization:
                                                 recall_ks=(4,), ndcg_ks=(6,),
                                                 keep_per_user=True)
         n_items = test.train.num_items
-        for idx, hu in enumerate(test.users):
-            ranking = oracles.rank_by_score(np.zeros(n_items), exclude=hu.fold_in)
+        for idx, u in enumerate(test.users):
+            fold_in, target = test.fold_in.items_of(u), test.target.items_of(u)
+            ranking = oracles.rank_by_score(np.zeros(n_items), exclude=fold_in)
             assert report.per_user["recall@4"][idx] == \
-                oracles.recall(ranking, hu.target, 4)
+                oracles.recall(ranking, target, 4)
             assert report.per_user["ndcg@6"][idx] == \
-                oracles.ndcg(ranking, hu.target, 6)
+                oracles.ndcg(ranking, target, 6)
 
     def test_fold_in_items_never_recommended(self, rng):
         # a trained model scores fold-in items highest; excluding them must
@@ -247,6 +255,29 @@ class TestEvaluateSampled:
             assert report.per_user["hr@5"][idx] == oracles.hit_rate(rank, 5)
             expected_ndcg = 1.0 / math.log2(rank + 1) if rank <= 5 else 0.0
             assert report.per_user["ndcg@5"][idx] == expected_ndcg
+
+    @pytest.mark.parametrize("nan_share", [0.0, 0.3])
+    def test_ranks_match_rank_items(self, rng, nan_share):
+        # factors from {-1, 0, 1} give many equal scores, exact in any
+        # summation order; a NaN item row gives that item a NaN score
+        split = self._split(rng)
+        W = rng.integers(-1, 2, size=(split.train.num_users, 2)).astype(float)
+        H = rng.integers(-1, 2, size=(split.train.num_items, 2)).astype(float)
+        H[rng.random(split.train.num_items) < nan_share] = np.nan
+        if nan_share:
+            H[split.holdout[0]] = np.nan
+        n = 1 + split.negatives.shape[1]
+        report = evaluate_sampled(FactorModel(W, H), split, ks=(n,), keep_per_user=True)
+        held_nan = 0
+        for idx, u in enumerate(split.users):
+            # candidates in item order, so rank_items' index tie rule is the item's
+            candidates = np.sort(np.append(split.negatives[idx], split.holdout[idx]))
+            scores = H[candidates] @ W[u]
+            held_nan += bool(np.isnan(H[split.holdout[idx]]).any())
+            order = candidates[rank_items(scores).items]
+            rank = 1 + int(np.flatnonzero(order == split.holdout[idx])[0])
+            assert report.per_user[f"ndcg@{n}"][idx] == 1.0 / math.log2(rank + 1)
+        assert (held_nan > 0) == (nan_share > 0)
 
     def test_tie_prefers_lower_item_index(self):
         # all scores zero: rank of holdout = 1 + #negatives with lower index
