@@ -1,29 +1,34 @@
-"""Ranking metrics and the two evaluation protocols.
+"""The two evaluation protocols, ranked and counted array-at-a-time.
 
 Strong generalization: evaluation users were removed from training; their
 fold-in items build an embedding at evaluation time and the remaining
-(target) items must be ranked highly among all items.  Sampled
-leave-one-out: each training user has one held-out item ranked against a
-fixed list of sampled negatives using the trained embedding.
+(target) items must be ranked highly among all items, fold-in items
+ranking last.  Sampled leave-one-out: each training user has one
+held-out item ranked against a fixed list of sampled negatives using the
+trained embedding; every copy of a repeated negative is a candidate.
+
+Both rank a chunk of users at once with model.rank_items and count hits
+in the top of each ranking: recall@k = hits / min(k, |relevant|) and
+binary-gain NDCG@k = DCG / IDCG.  With one relevant item, recall@k is
+HR@k and NDCG@k is 1/log2(rank + 1) within the top k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .dataset import LeaveOneOutSplit, StrongGeneralizationSplit
-from .errors import DimensionMismatch, InputError
+from .errors import DimensionMismatch
 from .linalg import gramian
-from .model import FactorModel, RankedList, rank_items
+from .model import FactorModel, rank_items
 from .solver import Hyperparameters, project_user, solver_side
 
-
-class EmptyRelevantSet(InputError):
-    """Metrics are undefined when there is nothing relevant to find."""
+# floats of scores or gathered candidate factors that one chunk of users
+# forms at once: 2 MiB, whatever the item count or dim
+_CHUNK_FLOATS = 2 ** 18
 
 
 @dataclass
@@ -45,81 +50,104 @@ class MetricReport:
         return out
 
 
-def _relevant_array(relevant) -> np.ndarray:
-    arr = np.asarray(sorted(relevant) if isinstance(relevant, (set, frozenset))
-                     else relevant, dtype=np.int64)
-    if arr.size == 0:
-        raise EmptyRelevantSet("relevant item set is empty")
-    return arr
+def _discounts(n: int) -> np.ndarray:
+    """1/log2(r+1) for ranks 1..n."""
+    return np.array([1.0 / math.log2(r + 1) for r in range(1, n + 1)])
 
 
-def recall_at_k(ranked: RankedList, relevant, k: int) -> float:
-    """Fraction of relevant items in the top k, normalized by min(k, |relevant|).
+def _item_mask(item_lists: list[np.ndarray], num_items: int) -> np.ndarray:
+    """(len(item_lists), num_items) booleans; row r is true on item_lists[r]."""
+    mask = np.zeros((len(item_lists), num_items), dtype=bool)
+    rows = np.repeat(np.arange(len(item_lists)), [items.size for items in item_lists])
+    mask[rows, np.concatenate(item_lists)] = True
+    return mask
 
-    The min-normalizer lets a short relevant set still reach 1.0 when k
-    exceeds it, and a long one saturate when it fills the whole top k.
+
+def _report(chunks, n_users: int, recall_ks, ndcg_ks, keep_per_user: bool,
+            recall_name: str = "recall") -> MetricReport:
+    """Per-user recall@k and NDCG@k, and their means, from the
+    (rows, hits, n_relevant) of each chunk of users that an evaluator ranks.
+
+    hits[u, r] is true when the item at rank r + 1 of user u's ranking is
+    relevant, and n_relevant[u] counts the relevant items.  hits needs
+    only min(max k, candidates) columns, since min(k, n_relevant) never
+    exceeds the candidate count.
     """
-    rel = _relevant_array(relevant)
-    hits = int(np.isin(ranked.items[:k], rel, assume_unique=False).sum())
-    return hits / min(k, rel.size)
+    names = [f"{recall_name}@{k}" for k in recall_ks] + [f"ndcg@{k}" for k in ndcg_ks]
+    values = {name: np.zeros(n_users) for name in names}
+    for rows, hits, n_relevant in chunks:
+        disc = _discounts(hits.shape[1])
+        for k in recall_ks:
+            values[f"{recall_name}@{k}"][rows] = (hits[:, :k].sum(axis=1)
+                                                   / np.minimum(k, n_relevant))
+        for k in ndcg_ks:
+            # Each DCG is the correctly rounded sum of its gains, as fsum
+            # gives: a sum with at most two nonzero terms is rounded once.
+            gains = np.where(hits[:, :k], disc[:k], 0.0)
+            dcg = gains.sum(axis=1)
+            for u in np.flatnonzero(np.count_nonzero(gains, axis=1) > 2):
+                dcg[u] = math.fsum(gains[u])
+            sizes, which = np.unique(np.minimum(k, n_relevant), return_inverse=True)
+            ideal = np.array([math.fsum(disc[:m]) for m in sizes])
+            values[f"ndcg@{k}"][rows] = dcg / ideal[which]
+    means = {name: float(v.mean()) if v.size else 0.0 for name, v in values.items()}
+    return MetricReport(means=means, n_users=n_users,
+                        per_user=values if keep_per_user else None)
 
 
-@lru_cache(maxsize=None)
-def _discounts(n: int) -> tuple[float, ...]:
-    """1/log2(r+1) for ranks 1..n; exact-sum friendly scalar table."""
-    return tuple(1.0 / math.log2(r + 1) for r in range(1, n + 1))
-
-
-def ndcg_at_k(ranked: RankedList, relevant, k: int) -> float:
-    """Binary-gain NDCG with the ideal DCG truncated at min(k, |relevant|)."""
-    rel = _relevant_array(relevant)
-    top = ranked.items[:k]
-    hit = np.isin(top, rel, assume_unique=False)
-    disc = _discounts(k)
-    # fsum: the result is the correctly rounded sum, independent of term order
-    dcg = math.fsum(disc[r] for r in range(top.size) if hit[r])
-    ideal = math.fsum(disc[: min(k, rel.size)])
-    return dcg / ideal
-
-
-def hit_rate_at_k(rank_of_holdout: int | None, k: int) -> float:
-    """1.0 when the holdout landed at rank <= k (1-based), else 0.0."""
-    return 1.0 if rank_of_holdout is not None and rank_of_holdout <= k else 0.0
+def _strong_generalization_hits(model: FactorModel, split: StrongGeneralizationSplit,
+                                hp: Hyperparameters, max_k: int):
+    """Yield (rows, hits, n_relevant) per chunk of split.users: each user is
+    projected from their fold-in items, which then rank last, and the
+    target items are the relevant ones."""
+    H = model.item_factors
+    side = solver_side(H, gramian(H), hp)
+    users = split.users
+    rows = max(1, _CHUNK_FLOATS // H.shape[0])
+    for first in range(0, users.size, rows):
+        chunk = users[first:first + rows]
+        fold_in = [split.fold_in.items_of(u) for u in chunk]
+        W = np.array([project_user(items, side, hp) for items in fold_in])
+        ranked = rank_items(W @ H.T, exclude=_item_mask(fold_in, H.shape[0]), k=max_k)
+        target = _item_mask([split.target.items_of(u) for u in chunk], H.shape[0])
+        yield (slice(first, first + rows), np.take_along_axis(target, ranked, axis=1),
+               split.target.user_counts[chunk])
 
 
 def evaluate_strong_generalization(model: FactorModel, split: StrongGeneralizationSplit,
                                    hp: Hyperparameters, recall_ks=(20, 50),
                                    ndcg_ks=(100,), keep_per_user: bool = False,
                                    ) -> MetricReport:
-    """Project each holdout user from fold-in items and rank the rest.
+    """Project each holdout user from fold-in items and rank all items.
 
-    Fold-in items are removed from the candidate ranking (the user already
-    has them); metrics are computed against the target items and averaged
-    in user order.
+    Fold-in items rank last (the user already has them); metrics are
+    computed against the target items and averaged in user order.
     """
     if model.num_items != split.train.num_items:
         raise DimensionMismatch(
             f"model has {model.num_items} items, split vocabulary {split.train.num_items}")
-    hp = hp.resolve(split.train)
-    H = model.item_factors
-    side = solver_side(H, gramian(H), hp)
-    max_k = max([*recall_ks, *ndcg_ks])
+    hits = _strong_generalization_hits(model, split, hp.resolve(split.train),
+                                       max([*recall_ks, *ndcg_ks]))
+    return _report(hits, split.users.size, recall_ks, ndcg_ks, keep_per_user)
 
-    users = split.users
-    names = [f"recall@{k}" for k in recall_ks] + [f"ndcg@{k}" for k in ndcg_ks]
-    values = {name: np.zeros(users.size) for name in names}
-    for idx, u in enumerate(users):
-        fold_in, target = split.fold_in.items_of(u), split.target.items_of(u)
-        w = project_user(fold_in, side, hp)
-        ranked = rank_items(H @ w, exclude=fold_in, k=max_k)
-        for k in recall_ks:
-            values[f"recall@{k}"][idx] = recall_at_k(ranked, target, k)
-        for k in ndcg_ks:
-            values[f"ndcg@{k}"][idx] = ndcg_at_k(ranked, target, k)
 
-    means = {name: float(v.mean()) if v.size else 0.0 for name, v in values.items()}
-    return MetricReport(means=means, n_users=int(users.size),
-                        per_user=values if keep_per_user else None)
+def _sampled_hits(model: FactorModel, split: LeaveOneOutSplit, max_k: int):
+    """Yield (rows, hits, n_relevant) per chunk of split.users: the holdout
+    and the negatives are the candidates, scored by one product, and the
+    holdout is the one relevant item."""
+    W, H = model.user_factors, model.item_factors
+    n_candidates = 1 + split.negatives.shape[1]
+    rows = max(1, _CHUNK_FLOATS // (n_candidates * model.dim))
+    for first in range(0, split.users.size, rows):
+        chunk = slice(first, first + rows)
+        holdout, negatives = split.holdout[chunk, None], split.negatives[chunk]
+        # In item order, a column's index breaks ties as its item's does;
+        # the holdout's column is ahead of any copy of it.
+        candidates = np.sort(np.column_stack((holdout, negatives)), axis=1)
+        held_column = (negatives < holdout).sum(axis=1, keepdims=True)
+        scores = np.matmul(H[candidates], W[split.users[chunk], :, None])[..., 0]
+        yield (chunk, rank_items(scores, k=max_k) == held_column,
+               np.ones(len(scores), dtype=np.int64))
 
 
 def evaluate_sampled(model: FactorModel, split: LeaveOneOutSplit, ks=(10,),
@@ -127,10 +155,9 @@ def evaluate_sampled(model: FactorModel, split: LeaveOneOutSplit, ks=(10,),
     """Rank each user's holdout item against their sampled negatives.
 
     Uses the trained user embedding directly (leave-one-out users stay in
-    the training set).  The holdout's rank among the 1 + n_negatives
-    candidates follows the shared tie rule: a negative places ahead on a
-    strictly higher score, or an equal score with a lower item index.  A
-    NaN score ranks last, as in rank_items.
+    the training set) and ranks the 1 + n_negatives candidates with
+    rank_items, ties going to the lower item index.  HR@k is recall@k with
+    the holdout as the one relevant item.
     """
     if model.num_items != split.train.num_items:
         raise DimensionMismatch(
@@ -139,27 +166,5 @@ def evaluate_sampled(model: FactorModel, split: LeaveOneOutSplit, ks=(10,),
         raise DimensionMismatch(
             f"split references user {int(split.users.max())} "
             f"but model has {model.num_users} users")
-
-    W, H = model.user_factors, model.item_factors
-    names = [f"hr@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
-    values = {name: np.zeros(split.users.size) for name in names}
-
-    for idx in range(split.users.size):
-        u = int(split.users[idx])
-        held = int(split.holdout[idx])
-        negs = split.negatives[idx]
-        w = W[u]
-        s_held = float(H[held] @ w)
-        s_negs = H[negs] @ w
-        if math.isnan(s_held):  # behind every number and every lower-index NaN
-            ahead = int((~np.isnan(s_negs) | (negs < held)).sum())
-        else:
-            ahead = int(((s_negs > s_held) | ((s_negs == s_held) & (negs < held))).sum())
-        rank = 1 + ahead
-        for k in ks:
-            values[f"hr@{k}"][idx] = hit_rate_at_k(rank, k)
-            values[f"ndcg@{k}"][idx] = (1.0 / math.log2(rank + 1)) if rank <= k else 0.0
-
-    means = {name: float(v.mean()) if v.size else 0.0 for name, v in values.items()}
-    return MetricReport(means=means, n_users=int(split.users.size),
-                        per_user=values if keep_per_user else None)
+    return _report(_sampled_hits(model, split, max(ks)), split.users.size, ks, ks,
+                   keep_per_user, recall_name="hr")

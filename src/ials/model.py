@@ -61,41 +61,22 @@ def init_model(num_users: int, num_items: int, dim: int,
     return FactorModel(user_factors=w, item_factors=h)
 
 
-@dataclass(frozen=True)
-class RankedList:
-    """Top-ranked items with their scores, best first."""
-
-    items: np.ndarray
-    scores: np.ndarray
-
-
 def rank_items(scores: np.ndarray, exclude: np.ndarray | None = None,
-               k: int | None = None) -> RankedList:
-    """Rank items by descending score; ties go to the lower item index.
+               k: int | None = None) -> np.ndarray:
+    """Column indices of scores, best first, along the last axis.
 
-    exclude lists item indices removed from the ranking entirely (e.g. a
-    fold-in history).  k truncates the result; None keeps the full order.
-    Below the candidate count only the top k are sorted: a partition finds
-    the k-th best score s, and the candidates above s, then the lowest-index
-    ones equal to s, fill the k places.  NaN scores rank last, as in the
-    full sort; with any among the candidates the full sort is taken.
+    scores is (n,) or (m, n); each row is ranked on its own.  The rule:
+    excluded columns last (exclude is a boolean mask that broadcasts
+    against scores, e.g. a user's fold-in items), then NaN scores, then
+    descending score, then ascending column index.  k truncates each row;
+    None keeps the full order.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    candidates = np.arange(scores.size)
-    if exclude is not None and len(exclude):
-        keep = np.ones(scores.size, dtype=bool)
-        keep[np.asarray(exclude, dtype=np.int64)] = False
-        candidates = candidates[keep]
-    kept = scores[candidates]
-    if k is not None and 0 < k < kept.size and not np.isnan(kept).any():
-        kth = np.partition(kept, kept.size - k)[kept.size - k]
-        above = np.flatnonzero(kept > kth)
-        tied = np.flatnonzero(kept == kth)[:k - above.size]
-        # each run of equal scores lies in one of the two, in index order
-        candidates = candidates[np.concatenate((above, tied))]
-    # Stable sort on negated scores: equal scores keep ascending index order.
-    order = candidates[np.argsort(-scores[candidates], kind="stable")][:k]
-    return RankedList(items=order, scores=scores[order])
+    index = np.broadcast_to(np.arange(scores.shape[-1]), scores.shape)
+    excluded = np.broadcast_to(False if exclude is None else exclude, scores.shape)
+    # lexsort: the last key is the primary one
+    order = np.lexsort((index, -scores, np.isnan(scores), excluded), axis=-1)
+    return order[..., :k]
 
 
 def save_model(path, model: FactorModel) -> None:

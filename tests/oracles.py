@@ -118,10 +118,14 @@ def implicit_loss_double_loop(W, H, alpha0) -> float:
 
 
 def rank_by_score(scores, exclude=()) -> list[int]:
-    """Descending score, ties broken by ascending item index."""
+    """Descending score, ties broken by ascending item index, NaN last."""
     excluded = set(int(e) for e in exclude)
     candidates = [i for i in range(len(scores)) if i not in excluded]
-    return sorted(candidates, key=lambda i: (-scores[i], i))
+
+    def key(i):
+        nan = math.isnan(scores[i])
+        return (nan, 0.0 if nan else -scores[i], i)
+    return sorted(candidates, key=key)
 
 
 def recall(ranking, relevant, k) -> float:

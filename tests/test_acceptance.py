@@ -15,16 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ials.dataset import load_leave_one_out, load_strong_generalization
-from ials.linalg import gramian
-from ials.metrics import (
-    evaluate_sampled,
-    evaluate_strong_generalization,
-    hit_rate_at_k,
-    ndcg_at_k,
-    recall_at_k,
+from ials.dataset import (
+    LeaveOneOutSplit,
+    leave_one_out_split,
+    load_leave_one_out,
+    load_strong_generalization,
+    strong_generalization_split,
 )
-from ials.model import RankedList, init_model
+from ials.linalg import gramian
+from ials.metrics import evaluate_sampled, evaluate_strong_generalization
+from ials.model import FactorModel, init_model
 from ials.solver import (
     Hyperparameters,
     block_side,
@@ -34,6 +34,7 @@ from ials.solver import (
     regularization_weight,
     solve_entity,
     solve_entity_block,
+    solver_side,
     train,
     update_items,
     update_users,
@@ -291,25 +292,52 @@ def test_criterion_09_block_solver_equivalence():
 
 
 def test_criterion_10_metric_oracles_exact():
+    # Factors in {-1, 0, 1} at d = 2 give heavy ties, and each score is one
+    # rounding of two exact products, whatever the order of the sum.
     master = np.random.default_rng(1010)
-    for _ in range(1000):
+    hp = Hyperparameters(dim=2, alpha0=0.1, lambda_=0.01)
+    for _ in range(300):
         rng = np.random.default_rng(master.integers(2**63))
-        n = int(rng.integers(1, 60))
-        order = rng.permutation(n)
-        rel = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        k = int(rng.integers(1, n + 2))
-        ranked = RankedList(items=order, scores=np.zeros(n))
-        assert recall_at_k(ranked, rel, k) == oracles.recall(order.tolist(), rel, k)
-        assert ndcg_at_k(ranked, rel, k) == oracles.ndcg(order.tolist(), rel, k)
-        rank = int(rng.integers(1, n + 2))
-        assert hit_rate_at_k(rank, k) == oracles.hit_rate(rank, k)
+        n_users, n_items = int(rng.integers(6, 15)), int(rng.integers(16, 40))
+        data = make_interactions(rng, n_users, n_items, min_deg=3, max_deg=8)
+        model = FactorModel(rng.integers(-1, 2, size=(n_users, 2)).astype(float),
+                            rng.integers(-1, 2, size=(n_items, 2)).astype(float))
+        W, H = model.user_factors, model.item_factors
+        k = int(rng.integers(1, n_items + 2))
+
+        _, test = strong_generalization_split(data, 4, 0, fold_in_fraction=0.5,
+                                              seed=int(rng.integers(100)))
+        report = evaluate_strong_generalization(model, test, hp, recall_ks=(k,),
+                                                ndcg_ks=(k,), keep_per_user=True)
+        side = solver_side(H, gramian(H), hp)
+        for idx, u in enumerate(test.users):
+            fold_in, target = test.fold_in.items_of(u), test.target.items_of(u)
+            ranking = oracles.rank_by_score(H @ project_user(fold_in, side, hp),
+                                            exclude=fold_in)
+            assert report.per_user[f"recall@{k}"][idx] == oracles.recall(ranking, target, k)
+            assert report.per_user[f"ndcg@{k}"][idx] == oracles.ndcg(ranking, target, k)
+
+        split = leave_one_out_split(data, n_negatives=int(rng.integers(1, 6)),
+                                    seed=int(rng.integers(100)))
+        report = evaluate_sampled(model, split, ks=(k,), keep_per_user=True)
+        for idx, u in enumerate(split.users):
+            held = int(split.holdout[idx])
+            scores = {int(i): float(H[i] @ W[u]) for i in (held, *split.negatives[idx])}
+            rank = oracles.holdout_rank(scores, held)
+            assert report.per_user[f"hr@{k}"][idx] == oracles.hit_rate(rank, k)
+            ranking = [-1] * (rank - 1) + [held]  # the holdout at its rank
+            assert report.per_user[f"ndcg@{k}"][idx] == oracles.ndcg(ranking, [held], k)
 
     # single relevant item at rank r: NDCG@k is exactly 1/log2(r+1)
+    train_data = make_interactions(np.random.default_rng(0), 1, 25, min_deg=2, max_deg=2)
+    model = FactorModel(np.zeros((1, 2)), np.zeros((25, 2)))
     for rank in range(1, 21):
-        items = np.arange(100, 100 + 25)
-        items[rank - 1] = 7
-        ranked = RankedList(items=items, scores=np.zeros(items.size))
-        assert ndcg_at_k(ranked, {7}, 25) == 1.0 / math.log2(rank + 1)
+        # all scores 0: the holdout, item rank - 1, ranks after the lower items
+        negatives = [i for i in range(25) if i != rank - 1]
+        split = LeaveOneOutSplit(train=train_data, users=np.array([0]),
+                                 holdout=np.array([rank - 1]), negatives=np.array([negatives]))
+        assert evaluate_sampled(model, split, ks=(25,)).means["ndcg@25"] == \
+            1.0 / math.log2(rank + 1)
 
 
 def _timed_iteration(data, model, hp) -> float:

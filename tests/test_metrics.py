@@ -1,88 +1,116 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ials.dataset import InteractionSet, leave_one_out_split, strong_generalization_split
-from ials.errors import DimensionMismatch
-from ials.metrics import (
-    EmptyRelevantSet,
-    evaluate_sampled,
-    evaluate_strong_generalization,
-    hit_rate_at_k,
-    ndcg_at_k,
-    recall_at_k,
+from ials.dataset import (
+    InteractionSet,
+    LeaveOneOutSplit,
+    StrongGeneralizationSplit,
+    leave_one_out_split,
+    strong_generalization_split,
 )
-from ials.model import FactorModel, RankedList, init_model, rank_items
+from ials.errors import DimensionMismatch
+from ials.metrics import evaluate_sampled, evaluate_strong_generalization
+from ials.model import FactorModel, init_model, rank_items
 from ials.solver import Hyperparameters, train
 
 import oracles
 from conftest import make_interactions
 
 
-def ranked(items):
-    items = np.asarray(items, dtype=np.int64)
-    return RankedList(items=items, scores=np.zeros(items.size))
+def ranked_metrics(ranking, relevant, k) -> tuple[float, float]:
+    """(recall@k, NDCG@k) from evaluate_strong_generalization for one user
+    whose items rank as `ranking`, best first, any other item after it.
+
+    d = 1: the user's fold-in item, one past every other, projects to a
+    positive weight; each ranked item's factor falls with its place, the
+    others' are 0, and the fold-in item ranks last.
+    """
+    ranking = [int(i) for i in ranking]
+    n = max([*ranking, *relevant]) + 1
+    H = np.zeros((n + 1, 1))
+    H[ranking, 0] = np.arange(len(ranking), 0, -1)
+    H[n, 0] = 1.0
+
+    def one_user(items):
+        return InteractionSet.from_pairs(np.zeros(len(items), dtype=np.int64), items,
+                                         num_users=1, num_items=n + 1)
+
+    split = StrongGeneralizationSplit(train=one_user([n]), fold_in=one_user([n]),
+                                      target=one_user(sorted(relevant)))
+    report = evaluate_strong_generalization(
+        FactorModel(np.zeros((1, 1)), H), split, Hyperparameters(dim=1, alpha0=0.0, lambda_=1.0),
+        recall_ks=(k,), ndcg_ks=(k,))
+    return report.means[f"recall@{k}"], report.means[f"ndcg@{k}"]
+
+
+def recall(ranking, relevant, k):
+    return ranked_metrics(ranking, relevant, k)[0]
+
+
+def ndcg(ranking, relevant, k):
+    return ranked_metrics(ranking, relevant, k)[1]
+
+
+def one_user_split(holdout, negatives, n_items=10) -> LeaveOneOutSplit:
+    train_data = make_interactions(np.random.default_rng(0), 1, n_items, min_deg=2, max_deg=2)
+    return LeaveOneOutSplit(train=train_data, users=np.array([0]),
+                            holdout=np.array([holdout]), negatives=np.array([negatives]))
 
 
 class TestRecall:
     def test_all_relevant_found(self):
-        assert recall_at_k(ranked(range(20)), {3, 7}, 20) == 1.0
+        assert recall(range(20), {3, 7}, 20) == 1.0
 
     def test_half_found(self):
-        assert recall_at_k(ranked(range(20)), {3, 25}, 20) == 0.5
+        assert recall(range(20), {3, 25}, 20) == 0.5
 
     def test_min_normalizer_saturates(self):
         # 30 relevant, top-20 entirely relevant -> 20/min(20,30) = 1.0
-        rel = set(range(30))
-        assert recall_at_k(ranked(range(20)), rel, 20) == 1.0
+        assert recall(range(20), set(range(30)), 20) == 1.0
 
     def test_none_found(self):
-        assert recall_at_k(ranked([5, 6, 7]), {0}, 3) == 0.0
-
-    def test_empty_relevant_rejected(self):
-        with pytest.raises(EmptyRelevantSet):
-            recall_at_k(ranked([1, 2]), set(), 2)
+        assert recall([5, 6, 7], {0}, 3) == 0.0
 
 
 class TestNdcg:
     def test_ideal_ordering(self):
-        assert ndcg_at_k(ranked([4, 9, 1, 0, 2]), {4, 9}, 5) == 1.0
+        assert ndcg([4, 9, 1, 0, 2], {4, 9}, 5) == 1.0
 
     def test_single_relevant_rank_one(self):
-        assert ndcg_at_k(ranked([7, 1, 2]), {7}, 10) == 1.0
+        assert ndcg([7, 1, 2], {7}, 10) == 1.0
 
     def test_single_relevant_rank_three(self):
-        assert ndcg_at_k(ranked([5, 6, 7, 8]), {7}, 10) == pytest.approx(0.5)
+        assert ndcg([5, 6, 7, 8], {7}, 10) == pytest.approx(0.5)
 
     def test_miss_is_zero(self):
-        assert ndcg_at_k(ranked([1, 2, 3]), {9}, 3) == 0.0
+        assert ndcg([1, 2, 3], {9}, 3) == 0.0
 
     def test_truncated_ideal(self):
         # 3 relevant, k = 2: IDCG uses only the first two ideal ranks
-        value = ndcg_at_k(ranked([0, 9, 1]), {0, 1, 2}, 2)
+        value = ndcg([0, 9, 1], {0, 1, 2}, 2)
         ideal = 1.0 + 1.0 / math.log2(3)
         assert value == pytest.approx(1.0 / ideal)
-
-    def test_empty_relevant_rejected(self):
-        with pytest.raises(EmptyRelevantSet):
-            ndcg_at_k(ranked([1]), [], 1)
 
     def test_single_relevant_closed_form(self):
         for rank in range(1, 11):
             items = list(range(100, 100 + rank - 1)) + [7]
-            value = ndcg_at_k(ranked(items), {7}, 10)
-            assert value == 1.0 / math.log2(rank + 1)
+            assert ndcg(items, {7}, 10) == 1.0 / math.log2(rank + 1)
 
 
 class TestHitRate:
     def test_boundaries(self):
-        assert hit_rate_at_k(1, 10) == 1.0
-        assert hit_rate_at_k(10, 10) == 1.0
-        assert hit_rate_at_k(11, 10) == 0.0
-        assert hit_rate_at_k(None, 10) == 0.0
+        # all scores 0: the holdout, item r - 1, ranks r-th among items 0..19
+        for rank, hit in ((1, 1.0), (10, 1.0), (11, 0.0)):
+            negatives = [i for i in range(20) if i != rank - 1]
+            report = evaluate_sampled(FactorModel(np.zeros((1, 2)), np.zeros((20, 2))),
+                                      one_user_split(rank - 1, negatives, n_items=20),
+                                      ks=(10,))
+            assert report.means["hr@10"] == hit
 
 
 class TestAgainstOracles:
@@ -92,9 +120,8 @@ class TestAgainstOracles:
             order = rng.permutation(n)
             rel = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
             k = int(rng.integers(1, n + 1))
-            rl = ranked(order)
-            assert recall_at_k(rl, rel, k) == oracles.recall(order.tolist(), rel, k)
-            assert ndcg_at_k(rl, rel, k) == oracles.ndcg(order.tolist(), rel, k)
+            assert ranked_metrics(order, rel, k) == (oracles.recall(order.tolist(), rel, k),
+                                                     oracles.ndcg(order.tolist(), rel, k))
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -104,10 +131,8 @@ class TestAgainstOracles:
         order = list(range(n))
         data.draw(st.randoms(use_true_random=False)).shuffle(order)
         rel = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-        tail = order[k:]
-        tail_reversed = order[:k] + tail[::-1]
-        for metric in (recall_at_k, ndcg_at_k):
-            assert metric(ranked(order), rel, k) == metric(ranked(tail_reversed), rel, k)
+        tail_reversed = order[:k] + order[k:][::-1]
+        assert ranked_metrics(order, rel, k) == ranked_metrics(tail_reversed, rel, k)
 
     def test_values_always_in_unit_interval(self, rng):
         for _ in range(100):
@@ -115,8 +140,7 @@ class TestAgainstOracles:
             order = rng.permutation(n)
             rel = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
             k = int(rng.integers(1, n + 2))
-            assert 0.0 <= recall_at_k(ranked(order), rel, k) <= 1.0
-            assert 0.0 <= ndcg_at_k(ranked(order), rel, k) <= 1.0
+            assert all(0.0 <= v <= 1.0 for v in ranked_metrics(order, rel, k))
 
 
 class TestEvaluateStrongGeneralization:
@@ -199,6 +223,23 @@ class TestEvaluateStrongGeneralization:
         b = evaluate_strong_generalization(model, test, hp)
         assert a.means == b.means
 
+    def test_huge_k_costs_no_memory(self, rng):
+        test = self._split(rng)
+        hp = Hyperparameters(dim=3, alpha0=0.2, lambda_=0.02, iterations=2)
+        model, _ = train(test.train, hp)
+        small = evaluate_strong_generalization(model, test, hp, recall_ks=(10,),
+                                               ndcg_ks=(10,))
+        tracemalloc.start()
+        try:
+            huge = evaluate_strong_generalization(model, test, hp, recall_ks=(10**6,),
+                                                  ndcg_ks=(10**6,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # 10 items: the top 10 is the whole ranking
+        assert list(huge.means.values()) == list(small.means.values())
+
     def test_vocabulary_mismatch(self, rng):
         test = self._split(rng)
         model = init_model(test.train.num_users, test.train.num_items + 3, 2, seed=0)
@@ -274,25 +315,48 @@ class TestEvaluateSampled:
             candidates = np.sort(np.append(split.negatives[idx], split.holdout[idx]))
             scores = H[candidates] @ W[u]
             held_nan += bool(np.isnan(H[split.holdout[idx]]).any())
-            order = candidates[rank_items(scores).items]
+            order = candidates[rank_items(scores)]
             rank = 1 + int(np.flatnonzero(order == split.holdout[idx])[0])
             assert report.per_user[f"ndcg@{n}"][idx] == 1.0 / math.log2(rank + 1)
         assert (held_nan > 0) == (nan_share > 0)
 
     def test_tie_prefers_lower_item_index(self):
         # all scores zero: rank of holdout = 1 + #negatives with lower index
-        users = np.array([0])
-        holdout = np.array([5])
-        negatives = np.array([[2, 9, 3, 7]])
-        train_data = make_interactions(np.random.default_rng(0), 1, 10,
-                                       min_deg=2, max_deg=2)
-        split = type(self._split(np.random.default_rng(1)))(
-            train=train_data, users=users, holdout=holdout, negatives=negatives)
         model = FactorModel(np.zeros((1, 2)), np.zeros((10, 2)))
-        report = evaluate_sampled(model, split, ks=(2, 3))
+        report = evaluate_sampled(model, one_user_split(5, [2, 9, 3, 7]), ks=(2, 3))
         # negatives 2 and 3 tie ahead of item 5 -> rank 3
         assert report.means["hr@2"] == 0.0
         assert report.means["hr@3"] == 1.0
+
+    def test_overflowing_twins_tie(self):
+        # The holdout and two lower-index negatives share one factor row
+        # whose score overflows.  Scored by one product they tie, whatever
+        # the sign of the overflow, so the negatives rank ahead (rank 3).
+        H = np.zeros((10, 2))
+        H[[2, 3, 5]] = (1e200, -1e200)
+        model = FactorModel(np.array([[1e200, 1e200]]), H)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = evaluate_sampled(model, one_user_split(5, [2, 3]), ks=(1, 2, 3))
+        assert [report.means[f"hr@{k}"] for k in (1, 2, 3)] == [0.0, 0.0, 1.0]
+        assert report.means["ndcg@3"] == 0.5
+
+    def test_repeated_negative_counts_for_each_copy(self):
+        # item 7 outscores the holdout and is listed twice: rank 3
+        H = np.zeros((10, 1))
+        H[[7, 5], 0] = (2.0, 1.0)
+        report = evaluate_sampled(FactorModel(np.ones((1, 1)), H),
+                                  one_user_split(5, [7, 1, 7]), ks=(2, 3))
+        assert report.means["hr@2"] == 0.0
+        assert report.means["hr@3"] == 1.0
+        assert report.means["ndcg@3"] == 0.5
+
+    def test_copy_of_holdout_never_ranks_ahead(self):
+        # all scores 0: item 2 ties ahead of the holdout 5, its copies tie
+        # behind it and are not hits
+        model = FactorModel(np.zeros((1, 2)), np.zeros((10, 2)))
+        report = evaluate_sampled(model, one_user_split(5, [5, 2, 5]), ks=(1, 2, 4))
+        assert [report.means[f"hr@{k}"] for k in (1, 2, 4)] == [0.0, 1.0, 1.0]
+        assert report.means["ndcg@4"] == 1.0 / math.log2(3)
 
     def test_deterministic(self, rng):
         split = self._split(rng)

@@ -56,18 +56,17 @@ class TestFactorModel:
 class TestScoring:
     def test_rank_items_tie_rule(self):
         scores = np.array([1.0, 3.0, 3.0, 0.5, 3.0])
-        ranked = rank_items(scores)
-        assert ranked.items.tolist() == [1, 2, 4, 0, 3]
-        assert ranked.scores.tolist() == [3.0, 3.0, 3.0, 1.0, 0.5]
+        order = rank_items(scores)
+        assert order.tolist() == [1, 2, 4, 0, 3]
+        assert scores[order].tolist() == [3.0, 3.0, 3.0, 1.0, 0.5]
 
     def test_rank_items_exclusion(self):
         scores = np.array([5.0, 4.0, 3.0, 2.0])
-        ranked = rank_items(scores, exclude=[0, 2])
-        assert ranked.items.tolist() == [1, 3]
+        order = rank_items(scores, exclude=np.isin(np.arange(4), [0, 2]))
+        assert order.tolist() == [1, 3, 0, 2]  # excluded columns at the tail
 
     def test_rank_items_truncation(self):
-        ranked = rank_items(np.arange(10.0), k=3)
-        assert ranked.items.tolist() == [9, 8, 7]
+        assert rank_items(np.arange(10.0), k=3).tolist() == [9, 8, 7]
 
     def test_all_items_is_permutation(self, rng):
         # full ranking without exclusions is a permutation matching the
@@ -75,47 +74,61 @@ class TestScoring:
         for _ in range(20):
             n = int(rng.integers(1, 30))
             scores = rng.integers(0, 4, size=n).astype(float)
-            ranked = rank_items(scores)
-            assert sorted(ranked.items.tolist()) == list(range(n))
-            assert ranked.items.tolist() == oracles.rank_by_score(scores)
+            order = rank_items(scores)
+            assert sorted(order.tolist()) == list(range(n))
+            assert order.tolist() == oracles.rank_by_score(scores)
 
     def test_rank_items_top_k_matches_oracle_with_exclusion(self, rng):
         for _ in range(20):
             H = rng.standard_normal((12, 3))
             w = rng.standard_normal(3)
             exclude = rng.choice(12, size=4, replace=False)
-            got = rank_items(H @ w, exclude=exclude, k=5)
+            got = rank_items(H @ w, exclude=np.isin(np.arange(12), exclude), k=5)
             expected = oracles.rank_by_score(H @ w, exclude=exclude)[:5]
-            assert got.items.tolist() == expected
+            assert got.tolist() == expected
 
     @pytest.mark.parametrize("with_nan", [False, True])
     @pytest.mark.parametrize("with_exclude", [False, True])
     def test_top_k_matches_full_stable_sort_on_ties(self, rng, with_exclude, with_nan):
         # few distinct values: the k-th best score is tied across the cut;
-        # NaN scores rank last and never shorten the top k
+        # NaN scores rank last among the included and among the excluded
         for _ in range(50):
             n = int(rng.integers(1, 40))
             scores = rng.integers(0, 4, size=n).astype(float)
             if with_nan:
                 scores[rng.random(n) < 0.3] = np.nan
-            exclude = (rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-                       if with_exclude else None)
-            full = rank_items(scores, exclude=exclude)
+            exclude = (rng.random(n) < rng.random()) if with_exclude else np.zeros(n, bool)
             order = np.argsort(-scores, kind="stable")
-            if exclude is not None:
-                order = order[~np.isin(order, exclude)]
-            assert full.items.tolist() == order.tolist()
+            order = np.concatenate((order[~exclude[order]], order[exclude[order]]))
+            full = rank_items(scores, exclude=exclude if with_exclude else None)
+            assert full.tolist() == order.tolist()
             for k in range(n + 2):
                 got = rank_items(scores, exclude=exclude, k=k)
-                assert got.items.tolist() == order[:k].tolist()
-                np.testing.assert_array_equal(got.scores, scores[order[:k]])
+                assert got.tolist() == order[:k].tolist()
+                np.testing.assert_array_equal(scores[got], scores[order[:k]])
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=25))
     def test_tie_rule_property(self, int_scores):
         scores = np.array(int_scores, dtype=float)
-        ranked = rank_items(scores)
-        assert ranked.items.tolist() == oracles.rank_by_score(scores)
+        assert rank_items(scores).tolist() == oracles.rank_by_score(scores)
+
+    def test_rows_rank_as_the_oracle(self, rng):
+        # each row on its own: ties, NaN, -0.0 against 0.0, its own
+        # exclusion (ranked after the rest under the same rule) and a cut
+        for _ in range(30):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 25))
+            scores = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0, np.nan], size=(m, n))
+            exclude = rng.random((m, n)) < 0.3
+            full = rank_items(scores, exclude=exclude)
+            for row, mask, got in zip(scores, exclude, full):
+                kept = np.flatnonzero(~mask)
+                expected = (oracles.rank_by_score(row, exclude=np.flatnonzero(mask))
+                            + oracles.rank_by_score(row, exclude=kept))
+                assert got.tolist() == expected
+            for k in (0, int(rng.integers(0, n)), n, n + 1):
+                np.testing.assert_array_equal(rank_items(scores, exclude=exclude, k=k),
+                                              full[:, :k])
 
 
 class TestModelFile:
