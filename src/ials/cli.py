@@ -62,7 +62,7 @@ def load_config_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -304,7 +304,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                 else ns.lambda_star_grid or LAMBDA_STAR_GRID_DEFAULT)
     reg_field = "lambda_" if direct else "lambda_star"
     reg_col = "lambda" if direct else "lambda_star"
-    base = _build_hp(ns, alpha0=ns.alpha0_grid[0], **{reg_field: reg_grid[0]})
+    # every point is checked before the first one trains
+    points = [(alpha0, reg, _build_hp(ns, alpha0=alpha0, **{reg_field: reg}))
+              for alpha0 in ns.alpha0_grid for reg in reg_grid]
 
     validation, test = _load_split(ns)
     if ns.protocol == "loo":
@@ -324,30 +326,28 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     metric_names = None
     rows = []
     best = None
-    for alpha0 in ns.alpha0_grid:
-        for reg in reg_grid:
-            hp = dataclasses.replace(base, alpha0=alpha0, **{reg_field: reg})
-            tag = f"alpha0={alpha0:g} {reg_col}={reg:g}"
-            try:
-                started = time.perf_counter()
-                model, _ = train(validation.train, hp)
-                report = _score(ns, model, validation, hp)
-                elapsed = time.perf_counter() - started
-            except IalsError as exc:
-                log.warning("grid point %s failed: %s", tag, exc)
-                rows.append({"alpha0": alpha0, reg_col: reg, "status": f"error: {exc}"})
-                continue
-            if metric_names is None:
-                metric_names = list(report.means)
-                if metric not in metric_names:
-                    raise InputError(
-                        f"selection metric {metric!r} not among {metric_names}")
-            row = {"alpha0": alpha0, reg_col: reg, "status": "ok"}
-            row.update({k: report.means[k] for k in metric_names})
-            rows.append(row)
-            log.info("%s -> %s=%.4f (%.1fs)", tag, metric, report.means[metric], elapsed)
-            if best is None or report.means[metric] > best[2]:
-                best = (alpha0, reg, report.means[metric])
+    for alpha0, reg, hp in points:
+        tag = f"alpha0={alpha0:g} {reg_col}={reg:g}"
+        try:
+            started = time.perf_counter()
+            model, _ = train(validation.train, hp)
+            report = _score(ns, model, validation, hp)
+            elapsed = time.perf_counter() - started
+        except IalsError as exc:
+            log.warning("grid point %s failed: %s", tag, exc)
+            rows.append({"alpha0": alpha0, reg_col: reg, "status": f"error: {exc}"})
+            continue
+        if metric_names is None:
+            metric_names = list(report.means)
+            if metric not in metric_names:
+                raise InputError(
+                    f"selection metric {metric!r} not among {metric_names}")
+        row = {"alpha0": alpha0, reg_col: reg, "status": "ok"}
+        row.update({k: report.means[k] for k in metric_names})
+        rows.append(row)
+        log.info("%s -> %s=%.4f (%.1fs)", tag, metric, report.means[metric], elapsed)
+        if best is None or report.means[metric] > best[2]:
+            best = (alpha0, reg, report.means[metric])
 
     fieldnames = ["alpha0", reg_col, "status"] + (metric_names or [])
     with open(ns.out, "w", encoding="utf-8", newline="") as fh:

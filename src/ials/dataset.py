@@ -514,6 +514,12 @@ def leave_one_out_split(data: InteractionSet, n_negatives: int = 100, seed: int 
     rng = np.random.default_rng(seed)
     num_items = data.num_items
     users = np.flatnonzero(~sparse).astype(np.int64)
+    # candidate items per user: all but the user's own, or all but the holdout
+    pool = num_items - np.where(allow_seen_negatives, 1, data.user_counts[users])
+    short = np.flatnonzero(pool < n_negatives)
+    if short.size:
+        raise InputError(f"user {users[short[0]]}: only {pool[short[0]]} candidate "
+                         f"items for {n_negatives} negatives")
     holdout = np.empty(users.size, dtype=np.int64)
     negatives = np.empty((users.size, n_negatives), dtype=np.int64)
     item_pool = np.arange(num_items, dtype=np.int64)
@@ -527,18 +533,9 @@ def leave_one_out_split(data: InteractionSet, n_negatives: int = 100, seed: int 
             held = row[int(rng.integers(row.size))]
         holdout[idx] = held
 
-        blocked = np.zeros(num_items, dtype=bool)
-        if allow_seen_negatives:
-            blocked[held] = True
-        else:
-            blocked[row] = True  # includes the holdout
-        pool = item_pool[~blocked]
-        if pool.size < n_negatives:
-            raise InputError(
-                f"user {u}: only {pool.size} candidate items for "
-                f"{n_negatives} negatives"
-            )
-        negatives[idx] = rng.choice(pool, size=n_negatives, replace=False)
+        blocked = held if allow_seen_negatives else row   # row includes the holdout
+        negatives[idx] = rng.choice(np.delete(item_pool, blocked), size=n_negatives,
+                                    replace=False)
 
     all_u, all_i = data.pairs()
     held_of = np.full(data.num_users, -1, dtype=np.int64)

@@ -107,7 +107,7 @@ def _strong_generalization_hits(model: FactorModel, split: StrongGeneralizationS
     for first in range(0, users.size, rows):
         chunk = users[first:first + rows]
         fold_in = [split.fold_in.items_of(u) for u in chunk]
-        W = np.array([project_user(items, side, hp) for items in fold_in])
+        W = project_user(fold_in, side, hp)
         ranked = rank_items(W @ H.T, exclude=_item_mask(fold_in, H.shape[0]), k=max_k)
         target = _item_mask([split.target.items_of(u) for u in chunk], H.shape[0])
         yield (slice(first, first + rows), np.take_along_axis(target, ranked, axis=1),

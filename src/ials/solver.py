@@ -225,9 +225,9 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
     the solve_entity solution.  With one block (exact iALS) it is the
     closed-form solve_entity, whatever current, passes and g are.
 
-    g, when given, is alpha0 * G @ current, which a half-step forms for
-    many entities in one product; otherwise the first pass forms it, or
-    takes 0 from current = 0 (fold-in).  Neither current nor g is modified.
+    g, when given, is alpha0 * G @ current, which _update_side forms for
+    many entities in one product; otherwise the first pass forms it.
+    Neither current nor g is modified.
 
     Returns (x, r): a new vector x and the residuals r = 1 - history @ x
     of the entity's observed pairs, so r @ r is its share of L_S.  With no
@@ -268,12 +268,9 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
     chol = [None] * len(side.blocks)
     woodbury = [None] * len(side.blocks)
     for _ in range(passes):
-        if g is None and not x.any():
-            r, g = np.ones(n), np.zeros(d)
-        else:
-            r = 1.0 - history @ x
-            if g is None:
-                g = side.alpha0 * (side.G @ x)
+        r = 1.0 - history @ x
+        if g is None:
+            g = side.alpha0 * (side.G @ x)
         for k, (B, lam, Q, rotated) in enumerate(side.blocks):
             h = history[:, B]
             rhs = h.T @ r - g[B] - lambda_entity * x[B]
@@ -316,38 +313,38 @@ def penalty_weights(data: InteractionSet, hp: Hyperparameters,
                                   hp.alpha0, hp.nu, hp.lambda_))
 
 
-def _update_side(factors: np.ndarray, fixed: np.ndarray, ptr: np.ndarray,
-                 partners: np.ndarray, hp: Hyperparameters, side: str,
-                 lams: np.ndarray, G: np.ndarray) -> float:
-    """Re-solve every row of `factors` against the fixed side, in place.
+def _update_side(factors: np.ndarray, side: BlockSide, ptr: np.ndarray,
+                 partners: np.ndarray, lams: np.ndarray, passes: int, what: str) -> float:
+    """Re-solve every row of `factors` in place: the one entity loop of
+    half-steps and fold-in.
 
-    lams are the entities' L2 weights and G the Gramian of `fixed`.  The
-    block solver's start g = alpha0 * x @ G comes from one matrix product
-    per chunk of _START_CHUNK_FLOATS // d rows; the exact solve needs none.
+    Row e is solved against partners[ptr[e]:ptr[e + 1]] with L2 weight
+    lams[e], by `passes` block passes from its current value.  The block
+    solver's start g = alpha0 * x @ G comes from one matrix product per
+    chunk of _START_CHUNK_FLOATS // d rows; the exact solve needs none.
     Returns L_S, the sum of (1 - score)^2 over observed pairs with the
     updated factors, from the residuals each entity's solve returns.
 
-    Raises IalsError if any updated factor is not finite, so a NaN or inf
-    never reaches a saved model.
+    Raises IalsError naming `what` if any updated factor is not finite, so
+    a NaN or inf never reaches a saved model or a ranking.
     """
-    prepared = solver_side(fixed, G, hp)
-    rows = max(1, _START_CHUNK_FLOATS // G.shape[0])
+    rows = max(1, _START_CHUNK_FLOATS // side.G.shape[0])
     loss_s = 0.0
     with blas_threads(1):
         for first in range(0, factors.shape[0], rows):
             chunk = range(first, min(first + rows, factors.shape[0]))
-            if prepared.blocks:
-                starts = factors[first:chunk.stop] @ G
-                starts *= hp.alpha0
+            if side.blocks:
+                starts = factors[first:chunk.stop] @ side.G
+                starts *= side.alpha0
             else:   # the exact solve needs no g
                 starts = [None] * len(chunk)
             for e, g in zip(chunk, starts):
                 factors[e], r = solve_entity_block(factors[e], partners[ptr[e]:ptr[e + 1]],
-                                                   prepared, lams[e], g=g)
+                                                   side, lams[e], passes, g=g)
                 loss_s += r @ r
     bad = np.count_nonzero(~np.isfinite(factors))
     if bad:
-        raise IalsError(f"{side} half-step produced {bad} non-finite factor entries")
+        raise IalsError(f"{what} produced {bad} non-finite factor entries")
     return float(loss_s)
 
 
@@ -358,8 +355,8 @@ def update_users(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
     lams are the users' L2 weights (penalty_weights) and G the Gramian of
     H.  Returns L_S of the updated model (see _update_side).
     """
-    return _update_side(model.user_factors, model.item_factors, data.user_ptr,
-                        data.user_items, hp, "user", lams, G)
+    return _update_side(model.user_factors, solver_side(model.item_factors, G, hp),
+                        data.user_ptr, data.user_items, lams, 1, "user half-step")
 
 
 def update_items(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
@@ -369,8 +366,8 @@ def update_items(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
     lams are the items' L2 weights (penalty_weights) and G the Gramian of
     W.  Returns L_S of the updated model (see _update_side).
     """
-    return _update_side(model.item_factors, model.user_factors, data.item_ptr,
-                        data.item_users, hp, "item", lams, G)
+    return _update_side(model.item_factors, solver_side(model.user_factors, G, hp),
+                        data.item_ptr, data.item_users, lams, 1, "item half-step")
 
 
 def _loss_report(iteration: int, loss_s: float, G_W: np.ndarray, G_H: np.ndarray,
@@ -413,12 +410,13 @@ def compute_losses(model: FactorModel, data: InteractionSet,
                         penalty_weights(data, hp), hp.alpha0)
 
 
-def project_user(history_items, side: BlockSide, hp: Hyperparameters) -> np.ndarray:
-    """Fold-in: embedding for an unseen user from their item history.
+def project_user(item_lists, side: BlockSide, hp: Hyperparameters) -> np.ndarray:
+    """Fold-in: one embedding row per unseen user, from each user's item list.
 
     side is solver_side(H, gramian(H), hp) of the item factors H, built
-    once for every user folded in against them.  projection_repeats block
-    passes from the zero vector (solve_entity_block); under the exact
+    once for all users folded in against them.  Each row takes
+    projection_repeats block passes from zero in _update_side, the loop of
+    the half-steps (a non-finite row raises IalsError); under the exact
     solver, the closed-form solve of a training user with these items.
 
     hp must be in direct mode (resolve against the training set first);
@@ -427,12 +425,14 @@ def project_user(history_items, side: BlockSide, hp: Hyperparameters) -> np.ndar
     if hp.lambda_ is None:
         raise InputError("project_user needs direct-mode hyperparameters; "
                          "call hp.resolve(train_data) first")
-    history_items = np.asarray(history_items, dtype=np.int64)
-    lam = regularization_weight(history_items.size, side.factors.shape[0],
-                                hp.alpha0, hp.nu, hp.lambda_)
-    with blas_threads(1):
-        return solve_entity_block(np.zeros(side.G.shape[0]), history_items, side, lam,
-                                  passes=hp.projection_repeats)[0]
+    item_lists = [np.asarray(items, dtype=np.int64) for items in item_lists]
+    ptr = np.cumsum([0] + [items.size for items in item_lists])
+    partners = np.concatenate([np.empty(0, dtype=np.int64), *item_lists])
+    lams = regularization_weight(np.diff(ptr), side.factors.shape[0],
+                                 hp.alpha0, hp.nu, hp.lambda_)
+    W = np.zeros((len(item_lists), side.G.shape[0]))
+    _update_side(W, side, ptr, partners, lams, hp.projection_repeats, "fold-in")
+    return W
 
 
 def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None,

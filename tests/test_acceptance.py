@@ -279,11 +279,11 @@ def test_criterion_09_block_solver_equivalence():
                     lambda_=float(rng.uniform(0.01, 0.05)),
                     nu=float(rng.choice([0.0, 1.0])))
         block = int(rng.choice([1, 3, 5]))
-        direct = project_user(history, block_side(H, G, base["alpha0"], d),
-                              Hyperparameters(**base))
-        blocked = project_user(history, block_side(H, G, base["alpha0"], block),
+        direct = project_user([history], block_side(H, G, base["alpha0"], d),
+                              Hyperparameters(**base))[0]
+        blocked = project_user([history], block_side(H, G, base["alpha0"], block),
                                Hyperparameters(**base, solver="block", block_size=block,
-                                               projection_repeats=8))
+                                               projection_repeats=8))[0]
         worst_proj = max(worst_proj,
                          float(np.linalg.norm(blocked - direct))
                          / float(np.linalg.norm(direct)))
@@ -312,7 +312,7 @@ def test_criterion_10_metric_oracles_exact():
         side = solver_side(H, gramian(H), hp)
         for idx, u in enumerate(test.users):
             fold_in, target = test.fold_in.items_of(u), test.target.items_of(u)
-            ranking = oracles.rank_by_score(H @ project_user(fold_in, side, hp),
+            ranking = oracles.rank_by_score(H @ project_user([fold_in], side, hp)[0],
                                             exclude=fold_in)
             assert report.per_user[f"recall@{k}"][idx] == oracles.recall(ranking, target, k)
             assert report.per_user[f"ndcg@{k}"][idx] == oracles.ndcg(ranking, target, k)

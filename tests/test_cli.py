@@ -93,6 +93,19 @@ class TestSplitCommand:
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_negatives_beyond_the_pool_fail_before_allocating(self, tmp_path, raw_file,
+                                                               capsys, caplog):
+        # 20 users x 10**13 negatives x 8 bytes is far above 2**48 bytes:
+        # allocating the negatives table first could never succeed
+        out = tmp_path / "split"
+        rc = main(["split", "--data", str(raw_file), "--protocol", "loo",
+                   "--out", str(out), "--negatives", str(10 ** 13)])
+        assert rc == 2
+        assert not out.exists()
+        assert "user 0: only " in caplog.text
+        assert f"candidate items for {10 ** 13} negatives" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, raw_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["split", "--data", str(raw_file), "--wat", "1",
@@ -330,6 +343,17 @@ class TestConfigFile:
         assert runs["config"] == runs["flag"]
         assert runs["config"] != runs["neither"]
 
+    def test_config_not_utf8(self, tmp_path, raw_file, capsys, caplog):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe = 1\n")
+        out = tmp_path / "split"
+        rc = main(["split", "--data", str(raw_file), "--protocol", "loo",
+                   "--out", str(out), "--config", str(cfg)])
+        assert rc == 2
+        assert not out.exists()
+        assert f"cannot read config {cfg}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_config_value(self, tmp_path, raw_file):
         loo = make_loo_dir(tmp_path, raw_file)
         cfg = tmp_path / "bad.cfg"
@@ -434,8 +458,12 @@ class TestEvaluateCommand:
             models.append(out / "model-seed1.bin")
         folded = []
         project = cli.mt.project_user
-        monkeypatch.setattr(cli.mt, "project_user",
-                            lambda *args: folded.append(project(*args)) or folded[-1])
+
+        def spy(*args):   # keeps every folded-in row, in order
+            W = project(*args)
+            folded.extend(W)
+            return W
+        monkeypatch.setattr(cli.mt, "project_user", spy)
 
         def evaluate(*paths):
             capsys.readouterr()
@@ -860,6 +888,27 @@ class TestSweepCommand:
         assert rc == 0
         rows = read_csv(out)
         assert [r["status"] for r in rows] == ["ok", "error: boom"]
+
+    @pytest.mark.parametrize("protocol, alpha0_grid, lambda_grid", [
+        ("loo", "0.1,-1", "0.02"),
+        ("strong-gen", "0.1", "0.02,-0.05"),
+    ])
+    def test_bad_grid_point_fails_before_training(self, tmp_path, raw_file, monkeypatch,
+                                                  caplog, protocol, alpha0_grid,
+                                                  lambda_grid):
+        split = (make_loo_dir if protocol == "loo" else make_strong_gen_dir)(
+            tmp_path, raw_file)
+        trained, real_train = [], cli.train
+        monkeypatch.setattr(cli, "train",
+                            lambda *args, **kw: trained.append(args) or real_train(*args, **kw))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--split-dir", str(split), "--protocol", protocol,
+                   "--out", str(out), "--alpha0-grid", alpha0_grid,
+                   "--lambda-grid", lambda_grid, *SWEEP_BASE])
+        assert rc == 2
+        assert trained == []
+        assert not out.exists()
+        assert "must be >= 0" in caplog.text
 
     def test_all_points_failing_is_runtime_error(self, tmp_path, raw_file,
                                                  monkeypatch):

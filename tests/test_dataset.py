@@ -320,6 +320,25 @@ class TestLeaveOneOutSplit:
         with pytest.raises(InputError):
             leave_one_out_split(data, n_negatives=5, seed=0)
 
+    @pytest.mark.parametrize("n_negatives, allow_seen, message", [
+        (2, False, None),
+        (3, False, "user 2: only 2 candidate items for 3 negatives"),
+        (5, True, None),
+        (6, True, "user 0: only 5 candidate items for 6 negatives"),
+    ])
+    def test_candidate_bound_names_first_short_user(self, n_negatives, allow_seen,
+                                                    message):
+        # pools of 4, 2 and 3 unseen items; user 1 is too sparse and skipped
+        data = InteractionSet.from_pairs([0, 0, 1, 2, 2, 2, 2, 3, 3, 3],
+                                         [0, 1, 0, 0, 1, 2, 3, 3, 4, 5], num_items=6)
+        args = dict(n_negatives=n_negatives, seed=0, allow_seen_negatives=allow_seen,
+                    skip_sparse_users=True)
+        if message is None:
+            assert leave_one_out_split(data, **args).negatives.shape == (3, n_negatives)
+        else:
+            with pytest.raises(InputError, match=f"^{message}$"):
+                leave_one_out_split(data, **args)
+
     def test_user_too_sparse(self):
         data = InteractionSet.from_pairs([0, 1], [0, 1], num_items=5)
         with pytest.raises(UserTooSparse) as exc_info:

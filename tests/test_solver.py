@@ -327,7 +327,7 @@ class TestBlockKernel:
         ref = np.zeros(d)
         for _ in range(repeats):
             ref = oracles.block_pass(ref, H[items], G, hp.alpha0, lam, block_size)
-        got = project_user(items, block_side(H, G, hp.alpha0, block_size), hp)
+        got = project_user([items], block_side(H, G, hp.alpha0, block_size), hp)[0]
         assert np.array_equal(got, ref)
         assert sizes == [block_size] * (d // block_size)
 
@@ -577,32 +577,51 @@ class TestProjectUser:
         H = model.item_factors
         side = block_side(H, gramian(H), hp.alpha0, hp.dim)
         for u in range(small_data.num_users):
-            w = project_user(small_data.items_of(u), side, hp)
+            w = project_user([small_data.items_of(u)], side, hp)[0]
             assert np.array_equal(w, model.user_factors[u])
 
     def test_empty_history_zero(self, rng):
         H = rng.standard_normal((5, 3))
-        w = project_user(np.array([], dtype=np.int64), block_side(H, gramian(H), 0.1, 3),
-                         hp_direct())
+        w = project_user([np.array([], dtype=np.int64)], block_side(H, gramian(H), 0.1, 3),
+                         hp_direct())[0]
         assert np.array_equal(w, np.zeros(3))
 
     def test_requires_direct_mode(self, rng):
         H = rng.standard_normal((5, 3))
         hp = Hyperparameters(dim=3, alpha0=0.1, lambda_star=0.01)
         with pytest.raises(InputError):
-            project_user(np.array([0, 1]), block_side(H, gramian(H), 0.1, 3), hp)
+            project_user([np.array([0, 1])], block_side(H, gramian(H), 0.1, 3), hp)
 
     def test_block_projection_close_to_exact(self, rng):
         for _ in range(10):
             H = rng.standard_normal((40, 8)) * (0.1 / np.sqrt(8))
             G = gramian(H)
             items = rng.choice(40, size=10, replace=False)
-            exact = project_user(items, block_side(H, G, 0.1, 8), hp_direct(dim=8))
-            blocked = project_user(items, block_side(H, G, 0.1, 3),
+            exact = project_user([items], block_side(H, G, 0.1, 8), hp_direct(dim=8))[0]
+            blocked = project_user([items], block_side(H, G, 0.1, 3),
                                    hp_direct(dim=8, solver="block", block_size=3,
-                                             projection_repeats=8))
+                                             projection_repeats=8))[0]
             rel = np.linalg.norm(blocked - exact) / max(1e-12, np.linalg.norm(exact))
             assert rel <= 1e-3
+
+    @pytest.mark.parametrize("solver", ["exact", "block"])
+    @pytest.mark.parametrize("chunk_floats", [None, 2 * 12])
+    def test_many_users_fold_in_as_one_each(self, rng, monkeypatch, solver, chunk_floats):
+        # histories of 0, 3 (< b), 7, 12 (>= d) and 20 items at d = 12, b = 5;
+        # chunks of 2 rows put users at both offsets of a shared start product
+        if chunk_floats is not None:
+            monkeypatch.setattr(ials.solver, "_START_CHUNK_FLOATS", chunk_floats)
+        d, b = 12, 5
+        H = rng.standard_normal((40, d)) * (0.1 / np.sqrt(d))
+        hp = hp_direct(dim=d, solver=solver, block_size=b, projection_repeats=4)
+        side = ials.solver.solver_side(H, gramian(H), hp)
+        assert bool(side.blocks) == (solver == "block")
+        item_lists = [rng.choice(40, size=n, replace=False) for n in (0, 3, 7, 12, 20)]
+        W = project_user(item_lists, side, hp)
+        assert W.shape == (5, d)
+        for items, w in zip(item_lists, W):
+            assert np.array_equal(w, project_user([items], side, hp)[0])
+        assert project_user([], side, hp).shape == (0, d)
 
     def test_block_projection_matches_dense_oracle(self, rng):
         d, block_size, repeats = 10, 4, 8
@@ -616,7 +635,7 @@ class TestProjectUser:
             ref = np.zeros(d)
             for _ in range(repeats):
                 ref = oracles.block_pass_dense(ref, H[items], G, hp.alpha0, lam, block_size)
-            got = project_user(items, block_side(H, G, hp.alpha0, block_size), hp)
+            got = project_user([items], block_side(H, G, hp.alpha0, block_size), hp)[0]
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -636,6 +655,21 @@ class TestNonFiniteGuard:
         with pytest.raises(IalsError, match="item half-step"):
             half_step(update_items, model, small_data, hp_direct())
 
+    @pytest.mark.parametrize("solver", ["exact", "block"])
+    def test_fold_in_named(self, rng, monkeypatch, solver):
+        kernel = ials.solver.solve_entity_block
+
+        def overflow(current, partners, side, lam, passes=1, g=None):
+            x, r = kernel(current, partners, side, lam, passes, g=g)
+            return x if partners.size != 3 else np.full_like(x, np.inf), r
+
+        monkeypatch.setattr(ials.solver, "solve_entity_block", overflow)
+        H = rng.standard_normal((10, 4))
+        hp = hp_direct(dim=4, solver=solver, block_size=2)
+        side = ials.solver.solver_side(H, gramian(H), hp)
+        with pytest.raises(IalsError, match="^fold-in produced 4 non-finite"):
+            project_user([np.array([0, 1]), np.array([2, 3, 4])], side, hp)
+
 
 class TestBlasPinning:
     def test_update_users_pins_and_restores(self, small_data, monkeypatch):
@@ -654,6 +688,30 @@ class TestBlasPinning:
         assert len(during) == small_data.num_users
         assert all(counts == [1] * len(controls) for counts in during)
         assert [get() for get, _ in controls] == before
+
+    @pytest.mark.parametrize("solver", ["exact", "block"])
+    def test_fold_in_pins_once_per_call(self, rng, monkeypatch, solver):
+        controls = ials.linalg._openblas_thread_controls()
+        pins, during = [], []
+        pin = ials.solver.blas_threads
+        kernel = ials.solver.solve_entity_block
+
+        def spy_pin(n):
+            pins.append(n)
+            return pin(n)
+
+        def spy_kernel(*args, **kw):
+            during.append([get() for get, _ in controls])
+            return kernel(*args, **kw)
+
+        monkeypatch.setattr(ials.solver, "blas_threads", spy_pin)
+        monkeypatch.setattr(ials.solver, "solve_entity_block", spy_kernel)
+        H = rng.standard_normal((10, 4))
+        hp = hp_direct(dim=4, solver=solver, block_size=2)
+        side = ials.solver.solver_side(H, gramian(H), hp)
+        project_user([np.array([0, 1]), np.array([2, 3, 4]), np.array([5])], side, hp)
+        assert pins == [1]
+        assert during == [[1] * len(controls)] * 3
 
 
 class TestTrain:
