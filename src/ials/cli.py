@@ -2,8 +2,8 @@
 
 Every option can also come from a flat key = value config file
 (--config); explicit flags win over the file, the file wins over built-in
-defaults.  Exit codes: 0 success, 2 usage or input errors, 1 anything
-else that fails at runtime.
+defaults.  Exit codes: 0 success, 2 usage or input errors (an input too
+large to allocate included), 1 anything else that fails at runtime.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _config_defaults(p: argparse.ArgumentParser, path) -> dict:
 
 def _parse_ks(text: str) -> tuple[int, ...]:
     try:
-        ks = tuple(int(p) for p in str(text).split(",") if p.strip())
+        ks = tuple(dict.fromkeys(int(p) for p in str(text).split(",") if p.strip()))
     except ValueError as exc:
         raise InputError(f"bad k list {text!r}: {exc}") from exc
     if not ks or min(ks) < 1:
@@ -296,7 +296,6 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     _require(ns, "split_dir", "protocol")
-    ndcg_ks = _ndcg_ks(ns)
     if ns.lambda_grid is not None and ns.lambda_star_grid is not None:
         raise InputError("set only one of --lambda-grid / --lambda-star-grid")
     direct = ns.lambda_grid is not None
@@ -307,6 +306,13 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     # every point is checked before the first one trains
     points = [(alpha0, reg, _build_hp(ns, alpha0=alpha0, **{reg_field: reg}))
               for alpha0 in ns.alpha0_grid for reg in reg_grid]
+    # the names _score reports; by default HR (loo) or NDCG at the first k
+    ks = _ndcg_ks(ns)
+    loo = ns.protocol == "loo"
+    names = mt.metric_names(ks, ks, "hr") if loo else mt.metric_names(ns.recall_ks, ks)
+    metric = ns.metric or names[0 if loo else -len(ks)]
+    if metric not in names:
+        raise InputError(f"selection metric {metric!r} not among {names}")
 
     validation, test = _load_split(ns)
     if ns.protocol == "loo":
@@ -321,9 +327,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                         "2 training interactions", skipped)
     elif validation is None or not validation.users.size:
         raise InputError(f"{ns.split_dir} has no validation users to sweep on")
-    metric = ns.metric or f"{'hr' if ns.protocol == 'loo' else 'ndcg'}@{ndcg_ks[0]}"
 
-    metric_names = None
     rows = []
     best = None
     for alpha0, reg, hp in points:
@@ -337,19 +341,14 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             log.warning("grid point %s failed: %s", tag, exc)
             rows.append({"alpha0": alpha0, reg_col: reg, "status": f"error: {exc}"})
             continue
-        if metric_names is None:
-            metric_names = list(report.means)
-            if metric not in metric_names:
-                raise InputError(
-                    f"selection metric {metric!r} not among {metric_names}")
         row = {"alpha0": alpha0, reg_col: reg, "status": "ok"}
-        row.update({k: report.means[k] for k in metric_names})
+        row.update({k: report.means[k] for k in names})
         rows.append(row)
         log.info("%s -> %s=%.4f (%.1fs)", tag, metric, report.means[metric], elapsed)
         if best is None or report.means[metric] > best[2]:
             best = (alpha0, reg, report.means[metric])
 
-    fieldnames = ["alpha0", reg_col, "status"] + (metric_names or [])
+    fieldnames = ["alpha0", reg_col, "status"] + names
     with open(ns.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
@@ -469,7 +468,7 @@ def main(argv=None) -> int:
         if ns.seed < 0:
             raise InputError(f"--seed must be >= 0, got {ns.seed}")
         return ns.func(ns)
-    except InputError as exc:
+    except (InputError, MemoryError) as exc:   # MemoryError: a size too large to allocate
         log.error("%s", exc)
         return 2
     except IalsError as exc:

@@ -13,7 +13,7 @@ import importlib
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import IalsError
@@ -77,7 +77,7 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (JITTER_SCALE * trace(A)/d, then x10 per retry, JITTER_RETRIES times).
 
     Returns (x, L), L the lower Cholesky factor of the matrix factored (A
-    plus any jitter): a further right-hand side costs one dpotrs(L, b).
+    plus any jitter): a further right-hand side costs one solve_factored.
 
     Raises:
         NotPositiveDefinite: no attempt produced a positive definite
@@ -88,25 +88,27 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = A.shape[0]
 
     for attempt in range(JITTER_RETRIES + 1):
-        if attempt == 0:
-            Aj = A
-        else:
-            if attempt == 1:
-                jitter = JITTER_SCALE * np.trace(A) / d
+        Aj = A
+        if attempt:
+            jitter = JITTER_SCALE * np.trace(A) / d if attempt == 1 else jitter * 10.0
             Aj = A.copy()
             Aj.flat[:: d + 1] += jitter
-            jitter *= 10.0
         try:
             L = cholesky(Aj)
         except LinAlgError:
             continue
-        return dpotrs(L, b, lower=1)[0], L
+        return solve_factored(L, b), L
 
     raise NotPositiveDefinite(
         f"{d}x{d} system is not positive definite after {JITTER_RETRIES} "
         "jitter retries; check that the regularization weight or the "
         "unobserved weight is positive"
     )
+
+
+def solve_factored(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L' x = b, L a lower Cholesky factor from solve_spd (LAPACK dpotrs)."""
+    return dpotrs(L, b, lower=1)[0]
 
 
 def _openblas_thread_controls() -> list:

@@ -63,6 +63,11 @@ def _item_mask(item_lists: list[np.ndarray], num_items: int) -> np.ndarray:
     return mask
 
 
+def metric_names(recall_ks, ndcg_ks, recall_name: str = "recall") -> list[str]:
+    """The means of a report, in order: recall_name@k for recall_ks, then ndcg@k."""
+    return [f"{recall_name}@{k}" for k in recall_ks] + [f"ndcg@{k}" for k in ndcg_ks]
+
+
 def _report(chunks, n_users: int, recall_ks, ndcg_ks, keep_per_user: bool,
             recall_name: str = "recall") -> MetricReport:
     """Per-user recall@k and NDCG@k, and their means, from the
@@ -73,8 +78,8 @@ def _report(chunks, n_users: int, recall_ks, ndcg_ks, keep_per_user: bool,
     only min(max k, candidates) columns, since min(k, n_relevant) never
     exceeds the candidate count.
     """
-    names = [f"{recall_name}@{k}" for k in recall_ks] + [f"ndcg@{k}" for k in ndcg_ks]
-    values = {name: np.zeros(n_users) for name in names}
+    values = {name: np.zeros(n_users)
+              for name in metric_names(recall_ks, ndcg_ks, recall_name)}
     for rows, hits, n_relevant in chunks:
         disc = _discounts(hits.shape[1])
         for k in recall_ks:

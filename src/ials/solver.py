@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .dataset import InteractionSet
 from .errors import IalsError, InputError
-from .linalg import blas_threads, gramian, solve_spd
+from .linalg import blas_threads, gramian, solve_factored, solve_spd
 from .model import FactorModel, init_model
 
 SOLVER_KINDS = ("exact", "block")
@@ -142,29 +141,24 @@ def effective_lambda_from_counts(lambda_star: float, nu: float, nu_star: float,
     return lambda_star * (mass(nu_star) / mass(nu))
 
 
-def solve_entity(history: np.ndarray, alpha_G: np.ndarray,
-                 lambda_entity: float) -> np.ndarray:
-    """Closed-form embedding for one entity given the fixed side.
+def solve_entity(history: np.ndarray, alpha_G: np.ndarray, lambda_entity: float,
+                 rhs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Solve one entity's normal equations A x = rhs: the one place that
+    assembles A = history'history + alpha_G + lambda_entity * I.
 
-    Args:
-        history: (n, d) embedding rows of the entity's observed partners.
-        alpha_G: (d, d) alpha0 * G, where G is the Gramian of the FULL
-            fixed-side matrix.  The implicit term covers every pair, so
-            observed rows contribute weight 1 + alpha0 in total.
-            block_side forms it once for all entities.
-        lambda_entity: this entity's L2 weight.
+    history holds the (n, d) float64 rows of the entity's observed
+    partners, n >= 1; alpha_G is alpha0 * G, G the Gramian of the FULL
+    fixed side (block_side forms it once), so observed rows weigh
+    1 + alpha0 in total.  rhs defaults to history.sum(axis=0), giving
+    argmin_x sum_history (x.h - 1)^2 + alpha0*x'Gx + lambda_entity*|x|^2;
+    a block pass passes one block's columns and its gradient instead.
 
-    Returns:
-        argmin_x sum_history (x.h - 1)^2 + alpha0*x'Gx + lambda_entity*|x|^2.
+    Returns (x, L) as solve_spd does: L factors A (see solve_factored).
     """
-    d = alpha_G.shape[0]
-    history = np.asarray(history, dtype=np.float64).reshape(-1, d)
-    if history.shape[0] == 0:
-        return np.zeros(d)  # b = 0 and A is PD, so the minimizer is 0
     A = history.T @ history
     A += alpha_G
-    A.flat[:: d + 1] += lambda_entity
-    return solve_spd(A, history.sum(axis=0))[0]
+    A.flat[:: A.shape[0] + 1] += lambda_entity
+    return solve_spd(A, history.sum(axis=0) if rhs is None else rhs)
 
 
 @dataclass(frozen=True)
@@ -232,13 +226,14 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
     Returns (x, r): a new vector x and the residuals r = 1 - history @ x
     of the entity's observed pairs, so r @ r is its share of L_S.  With no
     partners the minimizer is 0 (b = 0, A positive semi-definite),
-    returned without solving, as in solve_entity.
+    returned without solving, for one block or many.
 
     The d x d system is never formed (iALS++): each pass keeps r and
     g = alpha0 * G @ x, and a solved block updates g only on the blocks
     after it, about (d*d - d*b) / 2 multiply-adds per pass.  Each block
-    system is factored once, on the first pass; later passes run only
-    triangular solves and form g afresh (d*d), so P passes cost
+    system is assembled and factored once, on the first pass, by
+    solve_entity on the block's columns; later passes run only
+    solve_factored and form g afresh (d*d), so P passes cost
     O(n*d*b + d*b*b + P*(n*d + d*d)).
     A block is solved in the interaction space when that takes fewer flops
     (_woodbury_cheaper, about n < b): with D = lam + lambda_entity and
@@ -255,15 +250,14 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
     if g is not None and np.shape(g) != (d,):
         raise InputError(f"g has shape {np.shape(g)}, expected ({d},)")
     history = side.factors[partners]
-    if not side.blocks:
-        x = solve_entity(history, side.alpha_G, lambda_entity)
-        return x, 1.0 - history @ x
     n = history.shape[0]
     if n == 0:
         return np.zeros(d), np.empty(0)
+    if not side.blocks:
+        x = solve_entity(history, side.alpha_G, lambda_entity)[0]
+        return x, 1.0 - history @ x
     x = np.array(current, dtype=np.float64, copy=True)
-    if g is not None:
-        g = np.array(g, dtype=np.float64, copy=True)
+    g = None if g is None else np.array(g, dtype=np.float64, copy=True)
     # per block: the Cholesky factor, and (S, D^-1/2) on the n x n path
     chol = [None] * len(side.blocks)
     woodbury = [None] * len(side.blocks)
@@ -279,21 +273,19 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
                 if (_woodbury_cheaper(n, lam.size, passes)
                         and D.min() > _WOODBURY_MIN_RATIO * D.max()):
                     scale = 1.0 / np.sqrt(D)
-                    S = rotated[partners] * scale
-                    woodbury[k] = S, scale
-                    A = S @ S.T
-                    A.flat[:: n + 1] += 1.0
-                else:
-                    A = h.T @ h + side.alpha_G[B, B]
-                    A.flat[:: A.shape[0] + 1] += lambda_entity
+                    woodbury[k] = rotated[partners] * scale, scale
             if woodbury[k] is not None:
                 S, scale = woodbury[k]
                 u = (Q.T @ rhs) * scale
                 rhs = S @ u
-            if chol[k] is None:
-                delta, chol[k] = solve_spd(A, rhs)
+            if chol[k] is not None:
+                delta = solve_factored(chol[k], rhs)
+            elif woodbury[k] is None:
+                delta, chol[k] = solve_entity(h, side.alpha_G[B, B], lambda_entity, rhs)
             else:
-                delta = dpotrs(chol[k], rhs, lower=1)[0]
+                A = S @ S.T
+                A.flat[:: n + 1] += 1.0
+                delta, chol[k] = solve_spd(A, rhs)
             if woodbury[k] is not None:
                 delta = Q @ ((u - S.T @ delta) * scale)
             x[B] += delta

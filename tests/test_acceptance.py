@@ -134,7 +134,7 @@ def test_criterion_05_solver_matches_dense_normal_equations():
         for u in range(n_users):
             lam_u = regularization_weight(
                 data.items_of(u).size, n_items, alpha0, nu, lam)
-            got = solve_entity(H[data.items_of(u)], alpha0 * G, lam_u)
+            got = solve_entity(H[data.items_of(u)], alpha0 * G, lam_u)[0]
             want = oracles.normal_equation_solution(
                 H[data.items_of(u)], H, alpha0, lam_u)
             assert np.max(np.abs(got - want)) <= 1e-8
@@ -255,7 +255,7 @@ def test_criterion_09_block_solver_equivalence():
         block = int(rng.choice([1, 3, 5, 8]))
         G = gramian(H)
         side = block_side(H, G, alpha0, block)
-        exact = solve_entity(hist, alpha0 * G, lam)
+        exact = solve_entity(hist, alpha0 * G, lam)[0]
         scale = float(np.linalg.norm(exact))
         x = np.zeros(d)
         for sweep in range(100):

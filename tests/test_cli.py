@@ -194,6 +194,25 @@ class TestTrainCommand:
         assert rc == 2
         assert "missing required option --dim" in caplog.text
 
+    @pytest.mark.parametrize("where", ["train.csv", "--dim"])
+    def test_unallocatable_size_is_input_error(self, tmp_path, raw_file, capsys, caplog,
+                                               where):
+        # user id 10**15 asks for a 7 PiB user index, dim 10**15 for a
+        # 140 PiB factor matrix: sizes no machine can allocate, so numpy
+        # fails at once instead of running out of memory later
+        loo = make_loo_dir(tmp_path, raw_file)
+        flags = list(TRAIN_FLAGS)
+        if where == "train.csv":
+            with open(loo / "train.csv", "a", encoding="utf-8") as fh:
+                fh.write(f"{10 ** 15},0\n")
+        else:
+            flags[1] = str(10 ** 15)
+        rc = main(["train", "--split-dir", str(loo), "--protocol", "loo",
+                   "--out", str(tmp_path / "run"), *flags])
+        assert rc == 2
+        assert "Unable to allocate" in caplog.text and "PiB" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_k_list_is_input_error(self, tmp_path, raw_file, capsys, caplog):
         loo = make_loo_dir(tmp_path, raw_file)
         rc = main(["train", "--split-dir", str(loo), "--protocol", "loo",
@@ -863,12 +882,21 @@ class TestSweepCommand:
             main(argv)
         assert exc.value.code == 2
 
-    def test_unknown_selection_metric(self, tmp_path, raw_file):
-        sg = make_strong_gen_dir(tmp_path, raw_file)
-        rc = main(["sweep", "--split-dir", str(sg), "--protocol", "strong-gen",
-                   "--out", str(tmp_path / "s.csv"), "--alpha0-grid", "0.1",
-                   "--lambda-grid", "0.02", "--metric", "auc@5", *SWEEP_BASE])
-        assert rc == 2
+    def test_unknown_selection_metric(self, tmp_path, raw_file, monkeypatch, caplog):
+        # the metric name is checked before the first grid point trains
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kw: trained.append(args))
+        for protocol, split, names in (
+                ("strong-gen", make_strong_gen_dir(tmp_path, raw_file),
+                 ["recall@3", "ndcg@4"]),
+                ("loo", make_loo_dir(tmp_path, raw_file), ["hr@4", "ndcg@4"])):
+            rc = main(["sweep", "--split-dir", str(split), "--protocol", protocol,
+                       "--out", str(tmp_path / "s.csv"), "--alpha0-grid", "0.1",
+                       "--lambda-grid", "0.02", "--metric", "auc@5", *SWEEP_BASE])
+            assert rc == 2
+            assert f"selection metric 'auc@5' not among {names}" in caplog.text
+        assert trained == []
+        assert not (tmp_path / "s.csv").exists()
 
     def test_failing_point_recorded_and_skipped(self, tmp_path, raw_file,
                                                 monkeypatch):

@@ -1,12 +1,21 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrs
 
 import ials.linalg
-from ials.linalg import NotPositiveDefinite, blas_threads, cholesky, gramian, solve_spd
+from ials.linalg import (
+    NotPositiveDefinite,
+    blas_threads,
+    cholesky,
+    gramian,
+    solve_factored,
+    solve_spd,
+)
 
 
 class TestGramian:
@@ -96,7 +105,7 @@ class TestSolveSpd:
         A = gramian(rng.standard_normal((6, 4))) + np.eye(4)
         _, L = solve_spd(A, rng.standard_normal(4))
         b = rng.standard_normal(4)
-        assert np.array_equal(dpotrs(L, b, lower=1)[0], solve_spd(A, b)[0])
+        assert np.array_equal(solve_factored(L, b), solve_spd(A, b)[0])
         assert np.allclose(np.tril(L) @ np.tril(L).T, A, rtol=1e-12, atol=1e-12)
 
     def test_input_not_mutated(self, rng):
@@ -144,3 +153,20 @@ class TestBlasThreads:
         with blas_threads(1):
             assert [get() for get, _ in real] == before
         assert [get() for get, _ in real] == before
+
+
+def test_only_linalg_imports_scipy():
+    # LAPACK is reached through ials.linalg alone, so how it is loaded
+    # can change in one file
+    importers = []
+    for path in sorted(Path(ials.linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["linalg.py"]

@@ -8,7 +8,7 @@ import ials.linalg
 import ials.solver
 from ials.dataset import InteractionSet
 from ials.errors import IalsError, InputError
-from ials.linalg import gramian
+from ials.linalg import gramian, solve_factored
 from ials.model import FactorModel, init_model
 from ials.solver import (
     Hyperparameters,
@@ -152,12 +152,21 @@ class TestSolveEntity:
     def test_single_item_closed_form(self):
         h = np.array([[1.0]])
         for alpha0 in (0.0, 0.5, 2.0):
-            x = solve_entity(h, alpha0 * gramian(h), 0.0)
+            x = solve_entity(h, alpha0 * gramian(h), 0.0)[0]
             assert x[0] == pytest.approx(1.0 / (1.0 + alpha0), rel=1e-12)
 
-    def test_empty_history_is_zero(self):
-        G = gramian(np.ones((4, 3)))
-        assert np.array_equal(solve_entity(np.zeros((0, 3)), 0.5 * G, 0.1), np.zeros(3))
+    def test_rhs_and_factor(self, rng):
+        # any right-hand side is solved against the same assembled A, and
+        # the returned factor solves A for further ones
+        H = rng.standard_normal((7, 4))
+        history, alpha_G, lam = H[:3], 0.3 * gramian(H), 0.05
+        A = history.T @ history + alpha_G + lam * np.eye(4)
+        b, c = rng.standard_normal(4), rng.standard_normal(4)
+        x, L = solve_entity(history, alpha_G, lam, b)
+        assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-10, atol=1e-12)
+        assert np.allclose(solve_factored(L, c), np.linalg.solve(A, c), rtol=1e-10, atol=1e-12)
+        assert np.array_equal(solve_entity(history, alpha_G, lam)[0],
+                              solve_entity(history, alpha_G, lam, history.sum(axis=0))[0])
 
     def test_matches_bruteforce_assembly(self, rng):
         for _ in range(15):
@@ -167,7 +176,7 @@ class TestSolveEntity:
             obs = rng.choice(n_items, size=deg, replace=False)
             alpha0 = float(rng.choice([0.0, 0.1, 1.0]))
             lam = float(rng.uniform(0.01, 0.5))
-            got = solve_entity(H[obs], alpha0 * gramian(H), lam)
+            got = solve_entity(H[obs], alpha0 * gramian(H), lam)[0]
             expected = oracles.normal_equation_solution(H[obs], H, alpha0, lam)
             assert np.all(np.abs(got - expected) <= 1e-8)
 
@@ -182,7 +191,7 @@ class TestSolveEntityBlock:
 
     def test_single_block_equals_exact(self, rng):
         H, obs, G, alpha0, lam = self._instance(rng, d=5)
-        exact = solve_entity(H[obs], alpha0 * G, lam)
+        exact = solve_entity(H[obs], alpha0 * G, lam)[0]
         one_pass = solve_entity_block(np.zeros(5), obs, block_side(H, G, alpha0, 5), lam)[0]
         assert np.array_equal(one_pass, exact)
         bigger = solve_entity_block(np.zeros(5), obs, block_side(H, G, alpha0, 9), lam)[0]
@@ -190,7 +199,7 @@ class TestSolveEntityBlock:
 
     def test_repeated_passes_reach_fixed_point(self, rng):
         H, obs, G, alpha0, lam = self._instance(rng, d=8)
-        exact = solve_entity(H[obs], alpha0 * G, lam)
+        exact = solve_entity(H[obs], alpha0 * G, lam)[0]
         side = block_side(H, G, alpha0, 3)
         x = np.zeros(8)
         for _ in range(50):
@@ -200,12 +209,14 @@ class TestSolveEntityBlock:
     @pytest.mark.parametrize("alpha0,lam", [(0.2, 0.01), (0.0, 0.0)])
     def test_empty_partners_is_zero(self, rng, alpha0, lam):
         # no history: the quadratic is x'(alpha0 G + lam I)x, minimized at 0,
-        # whatever the start; at alpha0 = lam = 0 every block system is zero
+        # whatever the start; at alpha0 = lam = 0 every block system is zero.
+        # block_size 6 is one block: the exact solve, answered by the same rule
         H = rng.standard_normal((10, 6))
-        side = block_side(H, gramian(H), alpha0, 2)
-        got = solve_entity_block(rng.standard_normal(6), np.array([], dtype=np.int64),
-                                 side, lam, passes=3)[0]
-        assert np.array_equal(got, np.zeros(6))
+        for block_size in (2, 6):
+            side = block_side(H, gramian(H), alpha0, block_size)
+            x, r = solve_entity_block(rng.standard_normal(6), np.array([], dtype=np.int64),
+                                      side, lam, passes=3)
+            assert np.array_equal(x, np.zeros(6)) and r.shape == (0,)
 
     def test_current_not_mutated(self, rng):
         H, obs, G, alpha0, lam = self._instance(rng, d=6)
@@ -408,6 +419,47 @@ class TestBlockKernel:
         calls = self.spy_starts(monkeypatch)
         half_step(update_users, model, data, hp_direct())
         assert [g for _, g in calls] == [None] * 8
+
+    @pytest.mark.parametrize("route,passes", [("half-step", 1), ("fold-in", 3)])
+    def test_cholesky_blocks_assemble_in_solve_entity(self, rng, monkeypatch, route, passes):
+        # each b x b block of an entity is assembled and factored by one
+        # solve_entity call, on the first pass only; later passes, on
+        # either path, reuse the block's factor through solve_factored
+        d, b = 64, 32
+        degrees = (0, 2, 3, 40, 60) * 2
+        item_lists = [rng.choice(80, size=n, replace=False) for n in degrees]
+        hp = hp_direct(dim=d, solver="block", block_size=b, projection_repeats=passes)
+        model = init_model(len(degrees), 85, d, seed=5)
+        calls = []
+        for name in ("solve_entity_block", "solve_entity", "solve_factored"):
+            def spy(*args, real=getattr(ials.solver, name), name=name, **kw):
+                # an entity's solve_entity_block call heads its calls: its n
+                calls.append(len(args[1]) if name == "solve_entity_block" else name)
+                return real(*args, **kw)
+            monkeypatch.setattr(ials.solver, name, spy)
+        if route == "half-step":
+            data = InteractionSet.from_pairs(np.repeat(np.arange(len(degrees)), degrees),
+                                             np.concatenate(item_lists),
+                                             num_users=len(degrees), num_items=85)
+            half_step(update_users, model, data, hp)
+        else:
+            H = model.item_factors
+            project_user(item_lists, ials.solver.solver_side(H, gramian(H), hp), hp)
+        per_entity = []
+        for call in calls:
+            if isinstance(call, int):
+                per_entity.append((call, []))
+            else:
+                per_entity[-1][1].append(call)
+        assert [n for n, _ in per_entity] == list(degrees)
+        paths = set()
+        for n, got in per_entity:
+            blocks = d // b if n else 0
+            woodbury = n > 0 and ials.solver._woodbury_cheaper(n, b, passes)
+            paths.add("woodbury" if woodbury else "cholesky" if n else "empty")
+            first = [] if woodbury else ["solve_entity"] * blocks
+            assert got == first + ["solve_factored"] * blocks * (passes - 1), n
+        assert paths == {"empty", "woodbury", "cholesky"}
 
     @pytest.mark.parametrize("block_size", [2, 3, 5])
     @pytest.mark.parametrize("wrong", ["current", "g"])
