@@ -147,7 +147,8 @@ def solve_entity(history: np.ndarray, alpha_G: np.ndarray, lambda_entity: float,
     assembles A = history'history + alpha_G + lambda_entity * I.
 
     history holds the (n, d) float64 rows of the entity's observed
-    partners, n >= 1; alpha_G is alpha0 * G, G the Gramian of the FULL
+    partners (n = 0 gives x = 0 when A is positive definite; callers
+    return that without solving, in solve_entity_block); alpha_G is alpha0 * G, G the Gramian of the FULL
     fixed side (block_side forms it once), so observed rows weigh
     1 + alpha0 in total.  rhs defaults to history.sum(axis=0), giving
     argmin_x sum_history (x.h - 1)^2 + alpha0*x'Gx + lambda_entity*|x|^2;

@@ -155,6 +155,11 @@ class TestSolveEntity:
             x = solve_entity(h, alpha0 * gramian(h), 0.0)[0]
             assert x[0] == pytest.approx(1.0 / (1.0 + alpha0), rel=1e-12)
 
+    def test_empty_history_is_zero(self):
+        # b = 0 against a positive definite A: the solve returns 0 exactly
+        G = gramian(np.ones((4, 3)))
+        assert np.array_equal(solve_entity(np.zeros((0, 3)), 0.5 * G, 0.1)[0], np.zeros(3))
+
     def test_rhs_and_factor(self, rng):
         # any right-hand side is solved against the same assembled A, and
         # the returned factor solves A for further ones
