@@ -221,10 +221,11 @@ def _train_one(train_data, hp: Hyperparameters, out_dir: Path, seed: int,
     started = time.perf_counter()
 
     with open(log_path, "w", encoding="utf-8") as log_file:
-        def observer(iteration, report, metrics):
+        def observer(iteration, report, metrics, phases):
             record = {
                 "iteration": report.iteration,
                 "L": report.L, "L_S": report.L_S, "L_I": report.L_I, "R": report.R,
+                **phases,
             }
             if metrics is not None:
                 record["validation"] = metrics.to_json_dict()

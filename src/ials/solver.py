@@ -16,6 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import pickle
+import signal
+import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,9 +153,10 @@ def solve_entity(history: np.ndarray, alpha_G: np.ndarray, lambda_entity: float,
 
     history holds the (n, d) float64 rows of the entity's observed
     partners (n = 0 gives x = 0 when A is positive definite; callers
-    return that without solving, in solve_entity_block); alpha_G is alpha0 * G, G the Gramian of the FULL
-    fixed side (block_side forms it once), so observed rows weigh
-    1 + alpha0 in total.  rhs defaults to history.sum(axis=0), giving
+    return that without solving, in solve_entity_block); alpha_G is
+    alpha0 * G, G the Gramian of the FULL fixed side (block_side forms it
+    once), so observed rows weigh 1 + alpha0 in total.  rhs defaults to
+    history.sum(axis=0), giving
     argmin_x sum_history (x.h - 1)^2 + alpha0*x'Gx + lambda_entity*|x|^2;
     a block pass passes one block's columns and its gradient instead.
 
@@ -306,39 +312,147 @@ def penalty_weights(data: InteractionSet, hp: Hyperparameters,
                                   hp.alpha0, hp.nu, hp.lambda_))
 
 
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where os.fork or os.sched_getaffinity
+    is missing, which keeps _update_side on its serial loop."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _processes(rows: int, dim: int) -> int:
+    """Processes _update_side splits `rows` factor rows of width dim across:
+    one per start chunk of _START_CHUNK_FLOATS // dim rows, at most one per CPU."""
+    return min(_cpus(), -(-rows // max(1, _START_CHUNK_FLOATS // dim)))
+
+
+def _solve_rows(factors: np.ndarray, loss: np.ndarray, chunks, side: BlockSide,
+                ptr: np.ndarray, partners: np.ndarray, lams: np.ndarray,
+                passes: int) -> None:
+    """Re-solve every row e of the (first, stop) chunks in place, in order,
+    and store its r @ r in loss[e].
+
+    Row e is solved from its current value against partners[ptr[e]:ptr[e + 1]]
+    with L2 weight lams[e].  The block solver's start g = alpha0 * x @ G
+    comes from one matrix product per chunk, formed when the chunk is
+    reached; the exact solve needs none.
+    """
+    for first, stop in chunks:
+        if side.blocks:
+            starts = factors[first:stop] @ side.G
+            starts *= side.alpha0
+        else:
+            starts = [None] * (stop - first)
+        for e, g in zip(range(first, stop), starts):
+            factors[e], r = solve_entity_block(factors[e], partners[ptr[e]:ptr[e + 1]],
+                                               side, lams[e], passes, g=g)
+            loss[e] = r @ r
+
+
+def _solve_forked(factors: np.ndarray, loss: np.ndarray, chunks: list, procs: int,
+                  solve) -> None:
+    """solve(share) (a _solve_rows into factors and loss) for procs shares
+    of chunks, one per process.
+
+    Chunk c goes to process c mod procs, so Zipf-skewed rows spread
+    evenly.  This process solves share 0; each forked worker solves its
+    share in its own copy of the arrays and sends the share's rows and
+    losses back through a pipe, read straight into factors and loss.  A
+    worker's exception comes back pickled in their place and is raised
+    here; a worker that ends without either raises IalsError.  On any
+    failure every worker still running is killed and reaped first.
+    """
+    children = {}   # pid -> (read end of its pipe, its share)
+    try:
+        for p in range(1, procs):
+            share = chunks[p::procs]
+            read_fd, write_fd = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # OpenBLAS shuts its threads down in an atfork handler,
+                    # so forking with its pool alive is safe
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:   # the worker: never returns
+                code = 1
+                try:
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        try:
+                            solve(share)
+                        except BaseException as exc:
+                            pipe.write(b"E" + pickle.dumps(exc))
+                        else:
+                            pipe.write(b"R")
+                            for first, stop in share:
+                                pipe.write(factors[first:stop])
+                                pipe.write(loss[first:stop])
+                            code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[pid] = (os.fdopen(read_fd, "rb"), share)
+        solve(chunks[::procs])
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                kind = pipe.read(1)
+                whole = kind == b"R" and all(
+                    pipe.readinto(out) == out.nbytes for first, stop in share
+                    for out in (factors[first:stop], loss[first:stop]))
+                rest = pipe.read()   # to EOF, before waitpid
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if kind == b"E":
+                raise pickle.loads(rest)
+            if not whole or rest or status:
+                raise IalsError(f"solver worker {pid} ended with status "
+                                f"{os.waitstatus_to_exitcode(status)} before sending its rows")
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _update_side(factors: np.ndarray, side: BlockSide, ptr: np.ndarray,
                  partners: np.ndarray, lams: np.ndarray, passes: int, what: str) -> float:
     """Re-solve every row of `factors` in place: the one entity loop of
     half-steps and fold-in.
 
     Row e is solved against partners[ptr[e]:ptr[e + 1]] with L2 weight
-    lams[e], by `passes` block passes from its current value.  The block
-    solver's start g = alpha0 * x @ G comes from one matrix product per
-    chunk of _START_CHUNK_FLOATS // d rows; the exact solve needs none.
+    lams[e], by `passes` block passes from its current value (_solve_rows).
+    Rows that span two or more start chunks are split across _processes
+    forked workers (_solve_forked); the result is the same to the bit.
     Returns L_S, the sum of (1 - score)^2 over observed pairs with the
     updated factors, from the residuals each entity's solve returns.
 
     Raises IalsError naming `what` if any updated factor is not finite, so
     a NaN or inf never reaches a saved model or a ranking.
     """
-    rows = max(1, _START_CHUNK_FLOATS // side.G.shape[0])
-    loss_s = 0.0
+    n, d = factors.shape
+    rows = max(1, _START_CHUNK_FLOATS // d)
+    chunks = [(first, min(first + rows, n)) for first in range(0, n, rows)]
+    procs = _processes(n, d)
+    loss = np.empty(n)
+
+    def solve(share):
+        _solve_rows(factors, loss, share, side, ptr, partners, lams, passes)
+
     with blas_threads(1):
-        for first in range(0, factors.shape[0], rows):
-            chunk = range(first, min(first + rows, factors.shape[0]))
-            if side.blocks:
-                starts = factors[first:chunk.stop] @ side.G
-                starts *= side.alpha0
-            else:   # the exact solve needs no g
-                starts = [None] * len(chunk)
-            for e, g in zip(chunk, starts):
-                factors[e], r = solve_entity_block(factors[e], partners[ptr[e]:ptr[e + 1]],
-                                                   side, lams[e], passes, g=g)
-                loss_s += r @ r
+        if procs < 2:
+            solve(chunks)
+        else:
+            _solve_forked(factors, loss, chunks, procs, solve)
     bad = np.count_nonzero(~np.isfinite(factors))
     if bad:
         raise IalsError(f"{what} produced {bad} non-finite factor entries")
-    return float(loss_s)
+    loss_s = 0.0
+    for term in loss.tolist():   # in entity order, one add at a time, as ever
+        loss_s += term
+    return loss_s
 
 
 def update_users(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
@@ -437,10 +551,15 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
     hold: L_S from the item half-step's residuals, L_I from the Gramians of
     W and H that the half-steps solve against (each formed once per
     iteration; the next user half-step reuses the one of H), R from L2
-    weights formed once per call.  compute_losses is the reference it must agree with.  The
-    observer, when given, is called after every iteration as
-    observer(iteration, LossReport, metrics) where metrics is eval_fn's
-    result (eval_fn takes the current model) or None.
+    weights formed once per call.  compute_losses is the reference it
+    must agree with.
+
+    The observer, when given, is called after every iteration as
+    observer(iteration, LossReport, metrics, phases): metrics is eval_fn's
+    result (eval_fn takes the current model) or None, and phases holds the
+    wall seconds of the user half-step, the item half-step and eval_fn
+    (t_users, t_items, t_eval) and the processes the larger half-step is
+    split across (workers).
 
     Returns the trained model and the per-iteration loss reports.
     """
@@ -451,14 +570,23 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
     G_H = gramian(model.item_factors)
     reports: list[LossReport] = []
     for t in range(1, hp.iterations + 1):
+        started = time.perf_counter()
         update_users(model, data, hp, lams=lams[0], G=G_H)
+        t_users = time.perf_counter() - started
         G_W = gramian(model.user_factors)
+        started = time.perf_counter()
         loss_s = update_items(model, data, hp, lams=lams[1], G=G_W)
+        t_items = time.perf_counter() - started
         G_H = gramian(model.item_factors)
         report = _loss_report(t, loss_s, G_W, G_H, model, lams, hp.alpha0)
         del G_W   # dead until the next iteration forms it: free it before eval_fn
         reports.append(report)
+        started = time.perf_counter()
         metrics = eval_fn(model) if eval_fn is not None else None
+        t_eval = time.perf_counter() - started
         if observer is not None:
-            observer(t, report, metrics)
+            workers = max(_processes(data.num_users, hp.dim),
+                          _processes(data.num_items, hp.dim))
+            observer(t, report, metrics, {"t_users": t_users, "t_items": t_items,
+                                          "t_eval": t_eval, "workers": workers})
     return model, reports

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,7 @@ import ials.linalg
 import ials.solver
 from ials.dataset import InteractionSet
 from ials.errors import IalsError, InputError
-from ials.linalg import gramian, solve_factored
+from ials.linalg import NotPositiveDefinite, gramian, solve_factored
 from ials.model import FactorModel, init_model
 from ials.solver import (
     Hyperparameters,
@@ -33,6 +36,13 @@ def hp_direct(**kw):
     base = dict(dim=3, alpha0=0.1, lambda_=0.01, iterations=3, seed=0)
     base.update(kw)
     return Hyperparameters(**base)
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Keep the entity loop in this process, for tests that spy on or count
+    kernel calls: a forked worker's calls would not reach the spy."""
+    monkeypatch.setattr(ials.solver, "_cpus", lambda: 1)
 
 
 class TestHyperparameters:
@@ -330,6 +340,7 @@ class TestBlockKernel:
         block_sizes = [min(b, d - start) for start in range(0, d, b)] if n else []
         assert sizes == (block_sizes if path == "cholesky" else [n] * len(block_sizes)) * 3
 
+    @pytest.mark.usefixtures("one_process")
     def test_fold_in_factors_each_block_once(self, rng, monkeypatch):
         # every block takes the b x b path: bitwise equal to the repeated pass
         sizes = self.spy_sizes(monkeypatch)
@@ -407,10 +418,12 @@ class TestBlockKernel:
             want_loss += r @ r
         assert loss_s == want_loss
 
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("update", [update_users, update_items])
     def test_block_half_step_matches_oracle_passes(self, rng, monkeypatch, update):
         self.check_half_step(rng, monkeypatch, update, n_users=60)
 
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("update", [update_users, update_items])
     def test_start_chunks_keep_their_rows(self, rng, monkeypatch, update):
         # chunks of 2 rows over 61 users and 85 items: the last chunk is
@@ -418,6 +431,7 @@ class TestBlockKernel:
         monkeypatch.setattr(ials.solver, "_START_CHUNK_FLOATS", 2 * 32)
         self.check_half_step(rng, monkeypatch, update, n_users=61)
 
+    @pytest.mark.usefixtures("one_process")
     def test_exact_half_step_passes_no_start(self, rng, monkeypatch):
         data = make_interactions(rng, n_users=8, n_items=6)
         model = init_model(8, 6, 3, seed=1)
@@ -425,6 +439,7 @@ class TestBlockKernel:
         half_step(update_users, model, data, hp_direct())
         assert [g for _, g in calls] == [None] * 8
 
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("route,passes", [("half-step", 1), ("fold-in", 3)])
     def test_cholesky_blocks_assemble_in_solve_entity(self, rng, monkeypatch, route, passes):
         # each b x b block of an entity is assembled and factored by one
@@ -696,6 +711,156 @@ class TestProjectUser:
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+class TestForkedEntityLoop:
+    """_update_side split across forked workers against its serial loop."""
+
+    D = 8
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # 3-row start chunks: 41 users and 30 items span 14 and 10 chunks,
+        # so 2 or 3 processes take unequal shares and the last chunk is short
+        monkeypatch.setattr(ials.solver, "_START_CHUNK_FLOATS", 3 * self.D)
+
+    @staticmethod
+    def data(rng):
+        degrees = [(0, 1, 2, 5, 9, 14)[u % 6] for u in range(41)]
+        items = np.concatenate([rng.choice(30, n, replace=False) for n in degrees])
+        return InteractionSet.from_pairs(np.repeat(np.arange(41), degrees), items,
+                                         num_users=41, num_items=30)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """One entry per fork made from this process."""
+        made, fork = [], os.fork
+
+        def spy():
+            made.append(1)
+            return fork()
+        monkeypatch.setattr(os, "fork", spy)
+        return made
+
+    @staticmethod
+    def on_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(ials.solver, "_cpus", lambda: cpus)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("solver", ["exact", "block"])
+    @pytest.mark.parametrize("update", [update_users, update_items])
+    def test_half_step_is_byte_identical(self, rng, monkeypatch, forks, cpus, solver,
+                                         update):
+        data = self.data(rng)
+        hp = hp_direct(dim=self.D, solver=solver, block_size=3)
+        runs = []
+        for procs in (1, cpus):
+            self.on_cpus(monkeypatch, procs)
+            model = init_model(41, 30, self.D, seed=3)
+            loss_s = half_step(update, model, data, hp)
+            runs.append((model.user_factors.tobytes(), model.item_factors.tobytes(), loss_s))
+        assert runs[0] == runs[1]
+        assert len(forks) == cpus - 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("solver", ["exact", "block"])
+    def test_fold_in_is_byte_identical(self, rng, monkeypatch, forks, cpus, solver):
+        H = rng.standard_normal((30, self.D)) * 0.1
+        hp = hp_direct(dim=self.D, solver=solver, block_size=3, projection_repeats=4)
+        side = ials.solver.solver_side(H, gramian(H), hp)
+        item_lists = [rng.choice(30, n, replace=False) for n in (0, 1, 2, 5, 9, 14) * 3]
+        folded = []
+        for procs in (1, cpus):
+            self.on_cpus(monkeypatch, procs)
+            folded.append(project_user(item_lists, side, hp).tobytes())
+        assert folded[0] == folded[1]
+        assert len(forks) == cpus - 1
+
+    def test_train_is_byte_identical_and_reports_workers(self, rng, monkeypatch):
+        data = self.data(rng)
+        hp = hp_direct(dim=self.D, solver="block", block_size=3, iterations=2)
+        runs = []
+        for cpus in (1, 3):
+            self.on_cpus(monkeypatch, cpus)
+            workers = []
+            model, reports = train(data, hp, observer=lambda t, report, metrics, phases:
+                                   workers.append(phases["workers"]))
+            assert workers == [cpus, cpus]
+            runs.append((model.user_factors.tobytes(), model.item_factors.tobytes(), reports))
+        assert runs[0] == runs[1]
+
+    def half_step_on_three(self, rng, monkeypatch, in_worker, here=None):
+        """A block user half-step on 3 processes; the workers run
+        in_worker(kernel, *args) and this process here(kernel, *args) in
+        place of each kernel call."""
+        parent, kernel = os.getpid(), ials.solver.solve_entity_block
+
+        def spy(*args, **kw):
+            if os.getpid() != parent:
+                return in_worker(kernel, *args, **kw)
+            return here(kernel, *args, **kw) if here else kernel(*args, **kw)
+        monkeypatch.setattr(ials.solver, "solve_entity_block", spy)
+        self.on_cpus(monkeypatch, 3)
+        model = init_model(41, 30, self.D, seed=3)
+        half_step(update_users, model, self.data(rng),
+                  hp_direct(dim=self.D, solver="block", block_size=3))
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error", [NotPositiveDefinite, InputError, IalsError])
+    def test_worker_error_is_raised_here(self, rng, monkeypatch, error):
+        def fail(kernel, *args, **kw):
+            raise error(f"{error.__name__} in a worker")
+
+        with pytest.raises(error, match=f"^{error.__name__} in a worker$") as raised:
+            self.half_step_on_three(rng, monkeypatch, fail)
+        assert type(raised.value) is error
+        self.assert_no_child_left()
+
+    def test_worker_killed_by_a_signal(self, rng, monkeypatch):
+        def die(kernel, *args, **kw):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(IalsError, match="ended with status -9"):
+            self.half_step_on_three(rng, monkeypatch, die)
+        self.assert_no_child_left()
+
+    def test_failure_here_kills_the_workers(self, rng, monkeypatch):
+        def stall(kernel, *args, **kw):
+            time.sleep(60)
+
+        def fail(kernel, *args, **kw):
+            raise NotPositiveDefinite("in the parent")
+
+        started = time.monotonic()
+        with pytest.raises(NotPositiveDefinite, match="in the parent"):
+            self.half_step_on_three(rng, monkeypatch, stall, fail)
+        assert time.monotonic() - started < 30
+        self.assert_no_child_left()
+
+    def test_non_finite_row_of_a_worker_is_caught(self, rng, monkeypatch):
+        def overflow(kernel, *args, **kw):
+            x, r = kernel(*args, **kw)
+            return np.full_like(x, np.inf), r
+
+        # the workers' shares: chunks 1, 4, 7, 10, 13 (14 rows), 2, 5, 8, 11 (12 rows)
+        with pytest.raises(IalsError, match=f"^user half-step produced {26 * self.D} "):
+            self.half_step_on_three(rng, monkeypatch, overflow)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("missing", ["a second CPU", "os.fork"])
+    def test_serial_without(self, rng, monkeypatch, missing):
+        if missing == "os.fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+        assert ials.solver._cpus() == 1
+        model = init_model(41, 30, self.D, seed=3)
+        half_step(update_users, model, self.data(rng), hp_direct(dim=self.D))
+
+
 class TestNonFiniteGuard:
     def test_nan_in_fixed_side_raises(self, small_data):
         model = init_model(small_data.num_users, small_data.num_items, 3, seed=1)
@@ -728,6 +893,7 @@ class TestNonFiniteGuard:
             project_user([np.array([0, 1]), np.array([2, 3, 4])], side, hp)
 
 
+@pytest.mark.usefixtures("one_process")
 class TestBlasPinning:
     def test_update_users_pins_and_restores(self, small_data, monkeypatch):
         controls = ials.linalg._openblas_thread_controls()
@@ -791,13 +957,17 @@ class TestTrain:
     def test_observer_contract(self, small_data):
         seen = []
 
-        def observer(iteration, report, metrics):
-            seen.append((iteration, report.L, metrics))
+        def observer(iteration, report, metrics, phases):
+            seen.append((iteration, report.L, metrics, phases))
 
         _, reports = train(small_data, hp_direct(iterations=3), observer=observer)
         assert [s[0] for s in seen] == [1, 2, 3]
         assert [s[1] for s in seen] == [r.L for r in reports]
         assert all(s[2] is None for s in seen)
+        for *_, phases in seen:
+            assert set(phases) == {"t_users", "t_items", "t_eval", "workers"}
+            assert all(phases[k] >= 0.0 for k in ("t_users", "t_items", "t_eval"))
+            assert phases["workers"] == 1   # 8 users and 6 items: one start chunk each
 
     def test_eval_fn_passed_to_observer(self, small_data):
         calls = []
@@ -805,7 +975,7 @@ class TestTrain:
         def eval_fn(model):
             return {"marker": model.user_factors.sum()}
 
-        def observer(iteration, report, metrics):
+        def observer(iteration, report, metrics, phases):
             calls.append(metrics)
 
         train(small_data, hp_direct(iterations=2), observer=observer, eval_fn=eval_fn)
