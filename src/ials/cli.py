@@ -118,7 +118,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     except ValueError as exc:
         raise InputError(f"bad number list {text!r}: {exc}") from exc
     if not vals:
-        raise InputError("empty value list")
+        raise InputError(f"empty number list {text!r}")
     return vals
 
 

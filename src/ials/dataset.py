@@ -153,6 +153,13 @@ class InteractionSet:
         """Sorted item indices I(u)."""
         return self.user_items[self.user_ptr[u]:self.user_ptr[u + 1]]
 
+    def rows(self, users) -> tuple[np.ndarray, np.ndarray]:
+        """(ptr, items): the CSR of items_of(u) for each u of users, in order."""
+        users = np.asarray(users, dtype=np.int64)
+        starts, counts = self.user_ptr[users], self.user_counts[users]
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        return ptr, self.user_items[np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], counts)]
+
     def timestamps_of(self, u: int) -> np.ndarray | None:
         if self.timestamps is None:
             return None
@@ -414,7 +421,7 @@ def strong_generalization_split(data: InteractionSet, n_holdout_users: int,
     Items that never occur in the remaining train set are dropped from the
     evaluation users' lists afterwards.
 
-    Returns (validation split, test split); both share the same train set.
+    Returns (validation split, test split); both share one train set of pairs only.
 
     Raises:
         InsufficientUsers: fewer eligible users than requested.
@@ -451,12 +458,8 @@ def strong_generalization_split(data: InteractionSet, n_holdout_users: int,
     is_eval[chosen] = True
     all_u, all_i = data.pairs()
     keep = ~is_eval[all_u]
-    train = InteractionSet.from_pairs(
-        all_u[keep], all_i[keep],
-        num_users=data.num_users, num_items=data.num_items,
-        timestamps=None if data.timestamps is None else data.timestamps[keep],
-        user_ids=data.user_ids, item_ids=data.item_ids,
-    )
+    train = InteractionSet.from_pairs(all_u[keep], all_i[keep],
+                                      num_users=data.num_users, num_items=data.num_items)
     in_train_vocab = train.item_counts > 0
 
     def build(users: np.ndarray) -> StrongGeneralizationSplit:
@@ -497,7 +500,8 @@ def leave_one_out_split(data: InteractionSet, n_negatives: int = 100, seed: int 
     draw.  Negatives are sampled uniformly without replacement from items
     that are not the holdout and, unless allow_seen_negatives, not among
     the user's interactions.  With skip_sparse_users, a user with fewer
-    than 2 interactions gets no holdout and keeps them in train.
+    than 2 interactions gets no holdout and keeps them in train, which
+    holds pairs only, as a reloaded one does: no timestamps or ids.
 
     Raises:
         UserTooSparse: some user has fewer than 2 interactions and
@@ -541,12 +545,8 @@ def leave_one_out_split(data: InteractionSet, n_negatives: int = 100, seed: int 
     held_of = np.full(data.num_users, -1, dtype=np.int64)
     held_of[users] = holdout
     keep = all_i != held_of[all_u]
-    train = InteractionSet.from_pairs(
-        all_u[keep], all_i[keep],
-        num_users=data.num_users, num_items=data.num_items,
-        timestamps=None if data.timestamps is None else data.timestamps[keep],
-        user_ids=data.user_ids, item_ids=data.item_ids,
-    )
+    train = InteractionSet.from_pairs(all_u[keep], all_i[keep],
+                                      num_users=data.num_users, num_items=data.num_items)
     return LeaveOneOutSplit(train=train, users=users, holdout=holdout, negatives=negatives)
 
 
@@ -576,7 +576,7 @@ def _int_lines(block: str, lineno: int, path, width: int | None) -> np.ndarray:
     Lines blank after strip() are skipped, so whitespace-only lines and
     number forms numpy lacks (such as "1_000") stay legal.  A line 1 that
     is not integers is a header.  Raises ParseError naming the first line
-    that is not a row of `width` non-negative integers (width None: as
+    that is not a row of `width` non-negative int64 integers (width None: as
     many as the first row, at least 2).
     """
     rows = []
@@ -596,14 +596,13 @@ def _int_lines(block: str, lineno: int, path, width: int | None) -> np.ndarray:
                 reason = f"expected {width} fields, got {len(row)}"
             elif min(row) < 0:
                 reason = "negative id"
+            elif max(row) > np.iinfo(np.int64).max:
+                reason = "id too large"
             else:
                 rows.append(row)
                 continue
         raise ParseError(f"{path} line {lineno}: {reason}")
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return np.array(rows, dtype=np.int64)
 
 
 def _read_int_table(path, width: int | None = None, may_be_empty: bool = False) -> np.ndarray:

@@ -55,11 +55,11 @@ def _discounts(n: int) -> np.ndarray:
     return np.array([1.0 / math.log2(r + 1) for r in range(1, n + 1)])
 
 
-def _item_mask(item_lists: list[np.ndarray], num_items: int) -> np.ndarray:
-    """(len(item_lists), num_items) booleans; row r is true on item_lists[r]."""
-    mask = np.zeros((len(item_lists), num_items), dtype=bool)
-    rows = np.repeat(np.arange(len(item_lists)), [items.size for items in item_lists])
-    mask[rows, np.concatenate(item_lists)] = True
+def _item_mask(ptr: np.ndarray, items: np.ndarray, num_items: int) -> np.ndarray:
+    """(len(ptr) - 1, num_items) booleans; row r is true on items[ptr[r]:ptr[r + 1]]."""
+    counts = np.diff(ptr)
+    mask = np.zeros((counts.size, num_items), dtype=bool)
+    mask[np.repeat(np.arange(counts.size), counts), items[ptr[0]:ptr[-1]]] = True
     return mask
 
 
@@ -102,21 +102,21 @@ def _report(chunks, n_users: int, recall_ks, ndcg_ks, keep_per_user: bool,
 
 def _strong_generalization_hits(model: FactorModel, split: StrongGeneralizationSplit,
                                 hp: Hyperparameters, max_k: int):
-    """Yield (rows, hits, n_relevant) per chunk of split.users: each user is
-    projected from their fold-in items, which then rank last, and the
-    target items are the relevant ones."""
+    """Yield (rows, hits, n_relevant) per chunk of split.users: one project_user
+    call folds in every user, fold-in items rank last, targets are relevant."""
     H = model.item_factors
-    side = solver_side(H, gramian(H), hp)
     users = split.users
+    fold_ptr, fold_items = split.fold_in.rows(users)
+    target_ptr, target_items = split.target.rows(users)
+    W = project_user(fold_ptr, fold_items, solver_side(H, gramian(H), hp), hp)
     rows = max(1, _CHUNK_FLOATS // H.shape[0])
     for first in range(0, users.size, rows):
-        chunk = users[first:first + rows]
-        fold_in = [split.fold_in.items_of(u) for u in chunk]
-        W = project_user(fold_in, side, hp)
-        ranked = rank_items(W @ H.T, exclude=_item_mask(fold_in, H.shape[0]), k=max_k)
-        target = _item_mask([split.target.items_of(u) for u in chunk], H.shape[0])
-        yield (slice(first, first + rows), np.take_along_axis(target, ranked, axis=1),
-               split.target.user_counts[chunk])
+        stop = min(first + rows, users.size)
+        exclude = _item_mask(fold_ptr[first:stop + 1], fold_items, H.shape[0])
+        ranked = rank_items(W[first:stop] @ H.T, exclude=exclude, k=max_k)
+        relevant = _item_mask(target_ptr[first:stop + 1], target_items, H.shape[0])
+        yield (slice(first, stop), np.take_along_axis(relevant, ranked, axis=1),
+               np.diff(target_ptr[first:stop + 1]))
 
 
 def evaluate_strong_generalization(model: FactorModel, split: StrongGeneralizationSplit,

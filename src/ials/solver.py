@@ -314,16 +314,16 @@ def penalty_weights(data: InteractionSet, hp: Hyperparameters,
 
 def _cpus() -> int:
     """CPUs this process may run on; 1 where os.fork or os.sched_getaffinity
-    is missing, which keeps _update_side on its serial loop."""
+    is missing, which keeps _update_side in this process."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
 
 def _processes(rows: int, dim: int) -> int:
-    """Processes _update_side splits `rows` factor rows of width dim across:
-    one per start chunk of _START_CHUNK_FLOATS // dim rows, at most one per CPU."""
-    return min(_cpus(), -(-rows // max(1, _START_CHUNK_FLOATS // dim)))
+    """Processes _update_side splits `rows` factor rows of width dim across: one
+    per start chunk of _START_CHUNK_FLOATS // dim rows, from 1 to the CPUs."""
+    return max(1, min(_cpus(), -(-rows // max(1, _START_CHUNK_FLOATS // dim))))
 
 
 def _solve_rows(factors: np.ndarray, loss: np.ndarray, chunks, side: BlockSide,
@@ -355,12 +355,13 @@ def _solve_forked(factors: np.ndarray, loss: np.ndarray, chunks: list, procs: in
     of chunks, one per process.
 
     Chunk c goes to process c mod procs, so Zipf-skewed rows spread
-    evenly.  This process solves share 0; each forked worker solves its
-    share in its own copy of the arrays and sends the share's rows and
-    losses back through a pipe, read straight into factors and loss.  A
-    worker's exception comes back pickled in their place and is raised
-    here; a worker that ends without either raises IalsError.  On any
-    failure every worker still running is killed and reaped first.
+    evenly.  This process solves share 0 (all of chunks when procs is 1:
+    no fork); each forked worker solves its share in its own copy of the
+    arrays and sends the share's rows and losses back through a pipe,
+    read straight into factors and loss.  A worker's exception comes back
+    pickled in their place and is raised here; a worker that ends without
+    either raises IalsError.  On any failure every worker still running
+    is killed and reaped first.
     """
     children = {}   # pid -> (read end of its pipe, its share)
     try:
@@ -423,9 +424,9 @@ def _update_side(factors: np.ndarray, side: BlockSide, ptr: np.ndarray,
     half-steps and fold-in.
 
     Row e is solved against partners[ptr[e]:ptr[e + 1]] with L2 weight
-    lams[e], by `passes` block passes from its current value (_solve_rows).
-    Rows that span two or more start chunks are split across _processes
-    forked workers (_solve_forked); the result is the same to the bit.
+    lams[e], by `passes` block passes from its current value (_solve_rows),
+    across _processes processes (_solve_forked): rows that span two or more
+    start chunks fork workers, and the result is the same to the bit.
     Returns L_S, the sum of (1 - score)^2 over observed pairs with the
     updated factors, from the residuals each entity's solve returns.
 
@@ -435,17 +436,13 @@ def _update_side(factors: np.ndarray, side: BlockSide, ptr: np.ndarray,
     n, d = factors.shape
     rows = max(1, _START_CHUNK_FLOATS // d)
     chunks = [(first, min(first + rows, n)) for first in range(0, n, rows)]
-    procs = _processes(n, d)
     loss = np.empty(n)
 
     def solve(share):
         _solve_rows(factors, loss, share, side, ptr, partners, lams, passes)
 
     with blas_threads(1):
-        if procs < 2:
-            solve(chunks)
-        else:
-            _solve_forked(factors, loss, chunks, procs, solve)
+        _solve_forked(factors, loss, chunks, _processes(n, d), solve)
     bad = np.count_nonzero(~np.isfinite(factors))
     if bad:
         raise IalsError(f"{what} produced {bad} non-finite factor entries")
@@ -517,8 +514,10 @@ def compute_losses(model: FactorModel, data: InteractionSet,
                         penalty_weights(data, hp), hp.alpha0)
 
 
-def project_user(item_lists, side: BlockSide, hp: Hyperparameters) -> np.ndarray:
-    """Fold-in: one embedding row per unseen user, from each user's item list.
+def project_user(ptr: np.ndarray, items: np.ndarray, side: BlockSide,
+                 hp: Hyperparameters) -> np.ndarray:
+    """Fold-in: one embedding row per unseen user, row u from the items
+    items[ptr[u]:ptr[u + 1]] (a CSR, as InteractionSet.rows gives).
 
     side is solver_side(H, gramian(H), hp) of the item factors H, built
     once for all users folded in against them.  Each row takes
@@ -532,13 +531,10 @@ def project_user(item_lists, side: BlockSide, hp: Hyperparameters) -> np.ndarray
     if hp.lambda_ is None:
         raise InputError("project_user needs direct-mode hyperparameters; "
                          "call hp.resolve(train_data) first")
-    item_lists = [np.asarray(items, dtype=np.int64) for items in item_lists]
-    ptr = np.cumsum([0] + [items.size for items in item_lists])
-    partners = np.concatenate([np.empty(0, dtype=np.int64), *item_lists])
     lams = regularization_weight(np.diff(ptr), side.factors.shape[0],
                                  hp.alpha0, hp.nu, hp.lambda_)
-    W = np.zeros((len(item_lists), side.G.shape[0]))
-    _update_side(W, side, ptr, partners, lams, hp.projection_repeats, "fold-in")
+    W = np.zeros((len(ptr) - 1, side.G.shape[0]))
+    _update_side(W, side, ptr, items, lams, hp.projection_repeats, "fold-in")
     return W
 
 

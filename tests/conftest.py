@@ -27,6 +27,12 @@ def small_data(rng):
     return make_interactions(rng, n_users=8, n_items=6, min_deg=1)
 
 
+def csr(item_lists):
+    """(ptr, items) of a list of item lists: the CSR project_user takes."""
+    ptr = np.cumsum([0, *map(len, item_lists)])
+    return ptr, np.concatenate([np.empty(0, dtype=np.int64), *item_lists]).astype(np.int64)
+
+
 def half_step(update, model, data, hp):
     """update_users or update_items with the inputs train hands it: the L2
     weights of the side it updates and the Gramian of the fixed side."""

@@ -307,6 +307,8 @@ def read_int_table_lines(path, width=None, may_be_empty=False) -> np.ndarray:
                 raise ParseError(f"{where}: expected {width} fields, got {len(row)}")
             if min(row) < 0:
                 raise ParseError(f"{where}: negative id")
+            if max(row) >= 2 ** 63:
+                raise ParseError(f"{where}: id too large")
             rows.append(row)
     if not rows:
         if may_be_empty:

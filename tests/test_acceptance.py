@@ -41,7 +41,7 @@ from ials.solver import (
 )
 
 import oracles
-from conftest import half_step, make_interactions
+from conftest import csr, half_step, make_interactions
 
 
 def _split_dir_or_skip(env_var: str, protocol: str) -> Path:
@@ -279,9 +279,9 @@ def test_criterion_09_block_solver_equivalence():
                     lambda_=float(rng.uniform(0.01, 0.05)),
                     nu=float(rng.choice([0.0, 1.0])))
         block = int(rng.choice([1, 3, 5]))
-        direct = project_user([history], block_side(H, G, base["alpha0"], d),
+        direct = project_user(*csr([history]), block_side(H, G, base["alpha0"], d),
                               Hyperparameters(**base))[0]
-        blocked = project_user([history], block_side(H, G, base["alpha0"], block),
+        blocked = project_user(*csr([history]), block_side(H, G, base["alpha0"], block),
                                Hyperparameters(**base, solver="block", block_size=block,
                                                projection_repeats=8))[0]
         worst_proj = max(worst_proj,
@@ -312,7 +312,7 @@ def test_criterion_10_metric_oracles_exact():
         side = solver_side(H, gramian(H), hp)
         for idx, u in enumerate(test.users):
             fold_in, target = test.fold_in.items_of(u), test.target.items_of(u)
-            ranking = oracles.rank_by_score(H @ project_user([fold_in], side, hp)[0],
+            ranking = oracles.rank_by_score(H @ project_user(*csr([fold_in]), side, hp)[0],
                                             exclude=fold_in)
             assert report.per_user[f"recall@{k}"][idx] == oracles.recall(ranking, target, k)
             assert report.per_user[f"ndcg@{k}"][idx] == oracles.ndcg(ranking, target, k)
@@ -357,11 +357,13 @@ def test_criterion_11_iteration_time_scales_linearly():
         data = make_interactions(rng, n, n, min_deg=degree, max_deg=degree)
         sizes[n] = (data, init_model(n, n, hp.dim, seed=1))
     laps = {n: [] for n in sizes}
-    # The sizes take turns, so a slow spell of the machine hits both; the
-    # first lap of each warms caches and is dropped, the fastest one counts.
-    for _ in range(5):
+    # A round times one iteration of each size back to back, so a slow
+    # spell of a shared machine mostly slows both.  The first round warms
+    # caches and is dropped; the median of the other ten rounds' ratios
+    # counts, so up to four rounds that spells split do not.
+    for _ in range(11):
         for n, (data, model) in sizes.items():
             laps[n].append(_timed_iteration(data, model, hp))
-    base, doubled = min(laps[400][1:]), min(laps[800][1:])
-    ratio = doubled / base
-    assert 1.5 <= ratio <= 3.0, f"ratio {ratio:.2f} (base {base:.3f}s)"
+    ratios = [doubled / base for base, doubled in zip(laps[400][1:], laps[800][1:])]
+    ratio = float(np.median(ratios))
+    assert 1.5 <= ratio <= 3.0, f"ratio {ratio:.2f} (rounds {np.round(ratios, 2)})"

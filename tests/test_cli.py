@@ -15,6 +15,7 @@ import ials.cli as cli
 from ials.cli import main
 from ials.dataset import LOO_FILES, STRONG_GEN_FILES
 from ials.errors import IalsError
+from ials.model import FactorModel, load_model, save_model
 from ials.solver import Hyperparameters
 
 
@@ -706,6 +707,16 @@ class TestBrokenSplitDir:
         assert rc == 2
         assert f"test_negatives.csv {reason}" in caplog.text
 
+    def test_overflowing_id_names_its_line(self, tmp_path, raw_file, capsys, caplog):
+        loo = make_loo_dir(tmp_path, raw_file)
+        lines = (loo / "train.csv").read_text().splitlines()
+        lines[2] = "99999999999999999999,0"
+        (loo / "train.csv").write_text("\n".join(lines) + "\n")
+        rc = main(self._argv("train", loo, "loo", tmp_path))
+        assert rc == 2
+        assert f"{loo / 'train.csv'} line 3: id too large" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+
     @pytest.mark.parametrize("protocol", ["loo", "strong-gen"])
     def test_whitespace_only_lines_are_skipped(self, tmp_path, raw_file, capsys, protocol):
         clean = (make_loo_dir if protocol == "loo" else make_strong_gen_dir)(
@@ -808,6 +819,67 @@ class TestSplitDirFuzz:
             ]
         assert set(codes) <= {0, 2}, (name, kind, codes)
         assert "Traceback" not in capsys.readouterr().err
+
+
+def _bad_input(case: str, tmp_path, raw_file, trained_splits):
+    """(argv, exit code, logged message) of one bad input, its files made."""
+    loo, model = trained_splits["loo"]
+    split = ["split", "--data", str(raw_file), "--out", str(tmp_path / "split")]
+    train = ["train", "--split-dir", str(loo), "--protocol", "loo",
+             "--out", str(tmp_path / "run"), *TRAIN_FLAGS]
+    evaluate = ["evaluate", "--split-dir", str(loo), "--protocol", "loo"]
+    if case == "--ndcg-ks 0":
+        return [*train, "--ndcg-ks", "0"], 2, "k values must be positive integers, got '0'"
+    if case == "--alpha0-grid ,":
+        return (["sweep", "--split-dir", str(loo), "--protocol", "loo", "--alpha0-grid", ",",
+                 *SWEEP_BASE], 2, "empty number list ','")
+    if case == "--repeats 0":
+        return [*train, "--repeats", "0"], 2, "--repeats must be >= 1"
+    if case == "sweep without validation users":
+        assert main([*split, "--protocol", "strong-gen", "--holdout-users", "4"]) == 0
+        return (["sweep", "--split-dir", str(tmp_path / "split"), "--protocol", "strong-gen",
+                 *SWEEP_BASE], 2, f"{tmp_path / 'split'} has no validation users to sweep on")
+    if case == "unwritable --out":
+        out = tmp_path / "missing" / "report.json"
+        return [*evaluate, "--model", str(model), "--out", str(out)], 1, \
+            f"No such file or directory: '{out}'"
+    if case == "--columns rating,time":
+        return ([*split, "--protocol", "loo", "--columns", "rating,time"], 2,
+                "column list must include 'user' and 'item'")
+    if case == "--delimiter ''":
+        return ([*split, "--protocol", "loo", "--delimiter", ""], 2,
+                "delimiter must be non-empty and on one line, got ''")
+    if case == "--holdout-users 0":
+        return ([*split, "--protocol", "strong-gen", "--holdout-users", "0"], 2,
+                "n_holdout_users must be >= 1")
+    if case == "--sigma-star -1":
+        return [*train, "--sigma-star", "-1"], 2, "sigma_star must be >= 0"
+    path = tmp_path / "model.bin"
+    if case in ("model shape x", "model shape 0"):
+        header = "ials-model v1 x 12 3" if case == "model shape x" else "ials-model v1 0 12 3"
+        path.write_bytes(header.encode() + b"\n" + bytes(12 * 3 * 8))
+        reason = "malformed header" if case == "model shape x" else "non-positive shape in header"
+        return [*evaluate, "--model", str(path)], 2, f"{path}: {reason} '{header}'"
+    assert case == "loo users beyond the model's"
+    trained = load_model(model)
+    save_model(path, FactorModel(trained.user_factors[:2], trained.item_factors))
+    return ([*evaluate, "--model", str(path)], 2,
+            f"split references user {trained.num_users - 1} but model has 2 users")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", [
+        "--ndcg-ks 0", "--alpha0-grid ,", "--repeats 0", "sweep without validation users",
+        "unwritable --out", "--columns rating,time", "--delimiter ''", "--holdout-users 0",
+        "--sigma-star -1", "model shape x", "model shape 0", "loo users beyond the model's",
+    ])
+    def test_exit_code_and_message(self, tmp_path, raw_file, trained_splits, capsys, caplog,
+                                   case):
+        argv, code, message = _bad_input(case, tmp_path, raw_file, trained_splits)
+        caplog.clear()
+        assert main(argv) == code
+        assert message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
 
 
 SWEEP_BASE = ["--dim", "2", "--iterations", "2", "--seed", "1",

@@ -72,6 +72,16 @@ class TestFromPairs:
         assert np.array_equal(again.user_ptr, data.user_ptr)
         assert np.array_equal(again.user_items, data.user_items)
 
+    def test_rows_is_items_of_in_the_order_given(self):
+        data = InteractionSet.from_pairs([0, 0, 2, 3, 3, 3], [4, 1, 0, 2, 1, 5], num_users=5)
+        for users in ([3, 1, 0, 3, 4, 2, 0], [1, 4], []):   # 1 and 4 have no items
+            ptr, items = data.rows(users)
+            assert ptr.dtype == items.dtype == np.int64
+            assert ptr.tolist() == np.cumsum([0] + [data.user_counts[u] for u in users]).tolist()
+            assert [items[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])] == \
+                [data.items_of(u).tolist() for u in users]
+            assert items.size == ptr[-1]
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 7)), max_size=60))
     def test_transpose_consistency(self, pairs):
@@ -419,6 +429,27 @@ class TestSplitDirIO:
         with pytest.raises(InputError):
             ials.dataset.load_leave_one_out(tmp_path)
 
+    def test_split_train_holds_only_pairs(self, rng, tmp_path):
+        # so a split of an in-memory train set is the split of its reload
+        data = make_interactions(rng, n_users=12, n_items=15, min_deg=4, max_deg=7,
+                                 with_timestamps=True)
+        data = InteractionSet.from_pairs(*data.pairs(), timestamps=data.timestamps,
+                                         user_ids=list("abcdefghijkl"),
+                                         item_ids=list("ABCDEFGHIJKLMNO"))
+        loo = leave_one_out_split(data, n_negatives=3, seed=1)
+        _, strong_gen = strong_generalization_split(data, 3, 0, seed=1)
+        for train in (loo.train, strong_gen.train):
+            assert (train.timestamps, train.user_ids, train.item_ids) == (None, None, None)
+        ials.dataset.save_leave_one_out(tmp_path, loo)
+        reloaded = ials.dataset.load_leave_one_out(tmp_path).train
+        assert (reloaded.num_users, reloaded.num_items) == (12, 15)
+        assert np.array_equal(reloaded.user_items, loo.train.user_items)
+        nested, again = (leave_one_out_split(train, n_negatives=3, seed=2,
+                                             skip_sparse_users=True)
+                         for train in (loo.train, reloaded))
+        assert np.array_equal(nested.holdout, again.holdout)
+        assert np.array_equal(nested.negatives, again.negatives)
+
     def test_id_maps_written(self, rng, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("a,x,5,1\nb,y,4,2\n")
@@ -495,8 +526,8 @@ class TestLoadInteractionsMatchesOracle:
             assert np.array_equal(got.timestamps, expected.timestamps, equal_nan=True)
 
 
-INT_FIELDS = ["0", "1", "7", "12", "305", " 4", "+5", "-0", "1_000"]
-BAD_FIELDS = ["-3", "x", "", "1.5", "1 2"]
+INT_FIELDS = ["0", "1", "7", "12", "305", " 4", "+5", "-0", "1_000", "9223372036854775807"]
+BAD_FIELDS = ["-3", "x", "", "1.5", "1 2", "9223372036854775808"]
 
 
 @st.composite

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ials.metrics
+import ials.solver
 from ials.dataset import (
     InteractionSet,
     LeaveOneOutSplit,
@@ -369,6 +371,81 @@ class TestEvaluateSampled:
         model = init_model(split.train.num_users, 5, 2, seed=0)
         with pytest.raises(DimensionMismatch):
             evaluate_sampled(model, split)
+
+
+class TestRankingChunks:
+    """A ranking chunk bounds the score matrix only: one project_user call
+    folds in every user, and per-user values do not depend on the chunks."""
+
+    @pytest.fixture
+    def strong_gen(self, rng):
+        data = make_interactions(rng, n_users=60, n_items=12, min_deg=5, max_deg=9)
+        _, test = strong_generalization_split(data, 25, 0, seed=2)
+        hp = Hyperparameters(dim=4, alpha0=0.2, lambda_=0.02, iterations=2,
+                             solver="block", block_size=3, projection_repeats=3)
+        return train(test.train, hp)[0], test, hp
+
+    @staticmethod
+    def spy_fold_in(monkeypatch):
+        """The (users, W bytes) of every project_user call evaluation makes."""
+        calls, project = [], ials.metrics.project_user
+
+        def spy(ptr, items, side, hp):
+            W = project(ptr, items, side, hp)
+            calls.append((len(ptr) - 1, W.tobytes()))
+            return W
+        monkeypatch.setattr(ials.metrics, "project_user", spy)
+        return calls
+
+    @staticmethod
+    def per_user(report):
+        return {name: values.tobytes() for name, values in report.per_user.items()}
+
+    @pytest.mark.parametrize("users_per_chunk", [1, 4, 7])
+    def test_strong_gen(self, strong_gen, monkeypatch, users_per_chunk):
+        model, test, hp = strong_gen
+        calls = self.spy_fold_in(monkeypatch)
+        runs = []
+        for chunk_floats in (None, users_per_chunk * test.train.num_items):
+            if chunk_floats is not None:
+                monkeypatch.setattr(ials.metrics, "_CHUNK_FLOATS", chunk_floats)
+            runs.append(self.per_user(evaluate_strong_generalization(
+                model, test, hp, recall_ks=(2, 5), ndcg_ks=(3, 12), keep_per_user=True)))
+        assert runs[0] == runs[1]
+        assert calls == [(25, calls[0][1])] * 2
+
+    @pytest.mark.parametrize("users_per_chunk", [1, 4, 7])
+    def test_sampled(self, rng, monkeypatch, users_per_chunk):
+        data = make_interactions(rng, n_users=25, n_items=30, min_deg=2, max_deg=6)
+        split = leave_one_out_split(data, n_negatives=10, seed=3)
+        model = init_model(25, 30, 4, seed=8)
+        runs = []
+        for chunk_floats in (None, users_per_chunk * 11 * 4):
+            if chunk_floats is not None:
+                monkeypatch.setattr(ials.metrics, "_CHUNK_FLOATS", chunk_floats)
+            runs.append(self.per_user(evaluate_sampled(model, split, ks=(1, 5),
+                                                       keep_per_user=True)))
+        assert runs[0] == runs[1]
+
+    def test_fold_in_forks_and_stays_byte_identical(self, strong_gen, monkeypatch):
+        # 2-row start chunks: the 25 users span 13, so 2 CPUs fork one worker
+        model, test, hp = strong_gen
+        calls = self.spy_fold_in(monkeypatch)
+        monkeypatch.setattr(ials.solver, "_START_CHUNK_FLOATS", 2 * hp.dim)
+        forks, fork = [], ials.solver.os.fork
+
+        def spy_fork():
+            forks.append(1)
+            return fork()
+        monkeypatch.setattr(ials.solver.os, "fork", spy_fork)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(ials.solver, "_cpus", lambda: cpus)
+            runs.append(self.per_user(evaluate_strong_generalization(
+                model, test, hp, recall_ks=(2, 5), ndcg_ks=(3, 12), keep_per_user=True)))
+        assert runs[0] == runs[1]
+        assert calls[0] == calls[1]
+        assert len(forks) == 1
 
 
 class TestMetricReport:

@@ -29,7 +29,7 @@ from ials.solver import (
 )
 
 import oracles
-from conftest import half_step, make_interactions
+from conftest import csr, half_step, make_interactions
 
 
 def hp_direct(**kw):
@@ -354,7 +354,7 @@ class TestBlockKernel:
         ref = np.zeros(d)
         for _ in range(repeats):
             ref = oracles.block_pass(ref, H[items], G, hp.alpha0, lam, block_size)
-        got = project_user([items], block_side(H, G, hp.alpha0, block_size), hp)[0]
+        got = project_user(*csr([items]), block_side(H, G, hp.alpha0, block_size), hp)[0]
         assert np.array_equal(got, ref)
         assert sizes == [block_size] * (d // block_size)
 
@@ -464,7 +464,7 @@ class TestBlockKernel:
             half_step(update_users, model, data, hp)
         else:
             H = model.item_factors
-            project_user(item_lists, ials.solver.solver_side(H, gramian(H), hp), hp)
+            project_user(*csr(item_lists), ials.solver.solver_side(H, gramian(H), hp), hp)
         per_entity = []
         for call in calls:
             if isinstance(call, int):
@@ -649,28 +649,28 @@ class TestProjectUser:
         H = model.item_factors
         side = block_side(H, gramian(H), hp.alpha0, hp.dim)
         for u in range(small_data.num_users):
-            w = project_user([small_data.items_of(u)], side, hp)[0]
+            w = project_user(*csr([small_data.items_of(u)]), side, hp)[0]
             assert np.array_equal(w, model.user_factors[u])
 
     def test_empty_history_zero(self, rng):
         H = rng.standard_normal((5, 3))
-        w = project_user([np.array([], dtype=np.int64)], block_side(H, gramian(H), 0.1, 3),
-                         hp_direct())[0]
+        w = project_user(*csr([np.array([], dtype=np.int64)]),
+                         block_side(H, gramian(H), 0.1, 3), hp_direct())[0]
         assert np.array_equal(w, np.zeros(3))
 
     def test_requires_direct_mode(self, rng):
         H = rng.standard_normal((5, 3))
         hp = Hyperparameters(dim=3, alpha0=0.1, lambda_star=0.01)
         with pytest.raises(InputError):
-            project_user([np.array([0, 1])], block_side(H, gramian(H), 0.1, 3), hp)
+            project_user(*csr([np.array([0, 1])]), block_side(H, gramian(H), 0.1, 3), hp)
 
     def test_block_projection_close_to_exact(self, rng):
         for _ in range(10):
             H = rng.standard_normal((40, 8)) * (0.1 / np.sqrt(8))
             G = gramian(H)
             items = rng.choice(40, size=10, replace=False)
-            exact = project_user([items], block_side(H, G, 0.1, 8), hp_direct(dim=8))[0]
-            blocked = project_user([items], block_side(H, G, 0.1, 3),
+            exact = project_user(*csr([items]), block_side(H, G, 0.1, 8), hp_direct(dim=8))[0]
+            blocked = project_user(*csr([items]), block_side(H, G, 0.1, 3),
                                    hp_direct(dim=8, solver="block", block_size=3,
                                              projection_repeats=8))[0]
             rel = np.linalg.norm(blocked - exact) / max(1e-12, np.linalg.norm(exact))
@@ -689,11 +689,11 @@ class TestProjectUser:
         side = ials.solver.solver_side(H, gramian(H), hp)
         assert bool(side.blocks) == (solver == "block")
         item_lists = [rng.choice(40, size=n, replace=False) for n in (0, 3, 7, 12, 20)]
-        W = project_user(item_lists, side, hp)
+        W = project_user(*csr(item_lists), side, hp)
         assert W.shape == (5, d)
         for items, w in zip(item_lists, W):
-            assert np.array_equal(w, project_user([items], side, hp)[0])
-        assert project_user([], side, hp).shape == (0, d)
+            assert np.array_equal(w, project_user(*csr([items]), side, hp)[0])
+        assert project_user(*csr([]), side, hp).shape == (0, d)
 
     def test_block_projection_matches_dense_oracle(self, rng):
         d, block_size, repeats = 10, 4, 8
@@ -707,12 +707,12 @@ class TestProjectUser:
             ref = np.zeros(d)
             for _ in range(repeats):
                 ref = oracles.block_pass_dense(ref, H[items], G, hp.alpha0, lam, block_size)
-            got = project_user([items], block_side(H, G, hp.alpha0, block_size), hp)[0]
+            got = project_user(*csr([items]), block_side(H, G, hp.alpha0, block_size), hp)[0]
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 class TestForkedEntityLoop:
-    """_update_side split across forked workers against its serial loop."""
+    """_update_side split across forked workers against one process."""
 
     D = 8
 
@@ -770,7 +770,7 @@ class TestForkedEntityLoop:
         folded = []
         for procs in (1, cpus):
             self.on_cpus(monkeypatch, procs)
-            folded.append(project_user(item_lists, side, hp).tobytes())
+            folded.append(project_user(*csr(item_lists), side, hp).tobytes())
         assert folded[0] == folded[1]
         assert len(forks) == cpus - 1
 
@@ -890,7 +890,7 @@ class TestNonFiniteGuard:
         hp = hp_direct(dim=4, solver=solver, block_size=2)
         side = ials.solver.solver_side(H, gramian(H), hp)
         with pytest.raises(IalsError, match="^fold-in produced 4 non-finite"):
-            project_user([np.array([0, 1]), np.array([2, 3, 4])], side, hp)
+            project_user(*csr([np.array([0, 1]), np.array([2, 3, 4])]), side, hp)
 
 
 @pytest.mark.usefixtures("one_process")
@@ -932,7 +932,7 @@ class TestBlasPinning:
         H = rng.standard_normal((10, 4))
         hp = hp_direct(dim=4, solver=solver, block_size=2)
         side = ials.solver.solver_side(H, gramian(H), hp)
-        project_user([np.array([0, 1]), np.array([2, 3, 4]), np.array([5])], side, hp)
+        project_user(*csr([np.array([0, 1]), np.array([2, 3, 4]), np.array([5])]), side, hp)
         assert pins == [1]
         assert during == [[1] * len(controls)] * 3
 
