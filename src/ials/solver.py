@@ -40,6 +40,12 @@ _LOSS_CHUNK_FLOATS = 2 ** 20
 # half-step forms at once: 2**15 // dim rows, 256 KiB whatever dim is
 _START_CHUNK_FLOATS = 2 ** 15
 
+# _plan's estimated work, in multiply-adds: per process, since a fork and
+# its pipe (about 8 ms on 2 vCPUs) pay only past about twice this; and per
+# solve and block pass, for the Python around it (about 10 us)
+_FORK_WORK = 2e8
+_CALL_WORK = 1.5e5
+
 # A block is solved in the interaction space only while min(D) exceeds
 # this fraction of max(D); D^-1 magnifies rounding by their ratio.
 _WOODBURY_MIN_RATIO = 1e-8
@@ -320,10 +326,37 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _processes(rows: int, dim: int) -> int:
-    """Processes _update_side splits `rows` factor rows of width dim across: one
-    per start chunk of _START_CHUNK_FLOATS // dim rows, from 1 to the CPUs."""
-    return max(1, min(_cpus(), -(-rows // max(1, _START_CHUNK_FLOATS // dim))))
+def _plan(factors: np.ndarray, ptr: np.ndarray, width: int, passes: int,
+          ) -> tuple[list, int]:
+    """(chunks, processes) of _update_side: one process per _FORK_WORK of
+    estimated work, from 1 to the CPUs; one process takes one chunk.
+
+    Row e with m = ptr[e + 1] - ptr[e] partners costs m*d*b + d*b*b/3 (its
+    b = width wide block factors), 6*d*(2*m + d) per pass and _CALL_WORK
+    per solve and block pass; an exact solve is one pass over one block.
+    Where no cut can change a bit (exact solves form no start; zero starts,
+    as in fold-in, give zeros @ G = 0) there are 8 chunks per process of
+    about equal work; otherwise the chunks are the start chunks of
+    _START_CHUNK_FLOATS // d rows, and the processes no more than they.
+    """
+    n, d = factors.shape
+    b = min(width, d)
+    blocks = -(-d // b)
+    passes = passes if blocks > 1 else 1
+    per_partner = d * (b + 12 * passes)
+    per_row = d * b * b / 3 + 6 * passes * d * d + _CALL_WORK * (1 + passes * blocks)
+    work = per_partner * (ptr[-1] - ptr[0]) + per_row * n
+    procs = int(max(1, min(_cpus(), work // _FORK_WORK)))
+    if procs == 1:   # _solve_rows still forms starts by start chunk
+        return [(0, n)], 1
+    if blocks > 1 and factors.any():
+        firsts = list(range(0, n, max(1, _START_CHUNK_FLOATS // d)))
+        procs = min(procs, len(firsts))
+    else:   # cut where the work of the rows before reaches each share
+        before = per_partner * (ptr[:-1] - ptr[0]) + per_row * np.arange(n)
+        cuts = np.arange(8 * procs) * (work / (8 * procs))
+        firsts = np.unique(np.searchsorted(before, cuts)).tolist()
+    return list(zip(firsts, firsts[1:] + [n])), procs
 
 
 def _solve_rows(factors: np.ndarray, loss: np.ndarray, chunks, side: BlockSide,
@@ -334,10 +367,13 @@ def _solve_rows(factors: np.ndarray, loss: np.ndarray, chunks, side: BlockSide,
 
     Row e is solved from its current value against partners[ptr[e]:ptr[e + 1]]
     with L2 weight lams[e].  The block solver's start g = alpha0 * x @ G
-    comes from one matrix product per chunk, formed when the chunk is
-    reached; the exact solve needs none.
+    comes from one matrix product per _START_CHUNK_FLOATS // d rows of a
+    chunk, from its first row, formed when they are reached; the exact
+    solve needs none.
     """
-    for first, stop in chunks:
+    step = max(1, _START_CHUNK_FLOATS // side.G.shape[0])
+    for first, stop in [(a, min(a + step, end)) for start, end in chunks
+                        for a in range(start, end, step)]:
         if side.blocks:
             starts = factors[first:stop] @ side.G
             starts *= side.alpha0
@@ -385,7 +421,12 @@ def _solve_forked(factors: np.ndarray, loss: np.ndarray, chunks: list, procs: in
                         try:
                             solve(share)
                         except BaseException as exc:
-                            pipe.write(b"E" + pickle.dumps(exc))
+                            try:
+                                raised = pickle.dumps(exc)
+                                pickle.loads(raised)
+                            except Exception:   # sent as its class name and message
+                                raised = pickle.dumps(IalsError(f"{type(exc).__name__}: {exc}"))
+                            pipe.write(b"E" + raised)
                         else:
                             pipe.write(b"R")
                             for first, stop in share:
@@ -425,8 +466,7 @@ def _update_side(factors: np.ndarray, side: BlockSide, ptr: np.ndarray,
 
     Row e is solved against partners[ptr[e]:ptr[e + 1]] with L2 weight
     lams[e], by `passes` block passes from its current value (_solve_rows),
-    across _processes processes (_solve_forked): rows that span two or more
-    start chunks fork workers, and the result is the same to the bit.
+    in _plan's chunks and processes (_solve_forked): same bits on any count.
     Returns L_S, the sum of (1 - score)^2 over observed pairs with the
     updated factors, from the residuals each entity's solve returns.
 
@@ -434,15 +474,14 @@ def _update_side(factors: np.ndarray, side: BlockSide, ptr: np.ndarray,
     a NaN or inf never reaches a saved model or a ranking.
     """
     n, d = factors.shape
-    rows = max(1, _START_CHUNK_FLOATS // d)
-    chunks = [(first, min(first + rows, n)) for first in range(0, n, rows)]
+    chunks, procs = _plan(factors, ptr, side.blocks[0][0].stop if side.blocks else d, passes)
     loss = np.empty(n)
 
     def solve(share):
         _solve_rows(factors, loss, share, side, ptr, partners, lams, passes)
 
     with blas_threads(1):
-        _solve_forked(factors, loss, chunks, _processes(n, d), solve)
+        _solve_forked(factors, loss, chunks, procs, solve)
     bad = np.count_nonzero(~np.isfinite(factors))
     if bad:
         raise IalsError(f"{what} produced {bad} non-finite factor entries")
@@ -564,8 +603,12 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
                        sigma_star=hp.sigma_star, seed=hp.seed)
     lams = penalty_weights(data, hp)
     G_H = gramian(model.item_factors)
+    width = hp.block_size if hp.solver == "block" else hp.dim
     reports: list[LossReport] = []
     for t in range(1, hp.iterations + 1):
+        # each half-step's plan, from the factors before either runs
+        workers = max(_plan(model.user_factors, data.user_ptr, width, 1)[1],
+                      _plan(model.item_factors, data.item_ptr, width, 1)[1])
         started = time.perf_counter()
         update_users(model, data, hp, lams=lams[0], G=G_H)
         t_users = time.perf_counter() - started
@@ -581,8 +624,6 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
         metrics = eval_fn(model) if eval_fn is not None else None
         t_eval = time.perf_counter() - started
         if observer is not None:
-            workers = max(_processes(data.num_users, hp.dim),
-                          _processes(data.num_items, hp.dim))
             observer(t, report, metrics, {"t_users": t_users, "t_items": t_items,
                                           "t_eval": t_eval, "workers": workers})
     return model, reports

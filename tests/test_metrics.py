@@ -432,6 +432,7 @@ class TestRankingChunks:
         model, test, hp = strong_gen
         calls = self.spy_fold_in(monkeypatch)
         monkeypatch.setattr(ials.solver, "_START_CHUNK_FLOATS", 2 * hp.dim)
+        monkeypatch.setattr(ials.solver, "_FORK_WORK", 1.0)
         forks, fork = [], ials.solver.os.fork
 
         def spy_fork():

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import signal
+import threading
 import time
 import tracemalloc
 
@@ -32,10 +33,30 @@ import oracles
 from conftest import csr, half_step, make_interactions
 
 
+class TwoArguments(Exception):
+    """An exception that pickles but does not unpickle: its class takes two
+    arguments and its args hold one."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
 def hp_direct(**kw):
     base = dict(dim=3, alpha0=0.1, lambda_=0.01, iterations=3, seed=0)
     base.update(kw)
     return Hyperparameters(**base)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per fork made from this process."""
+    made, fork = [], os.fork
+
+    def spy():
+        made.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", spy)
+    return made
 
 
 @pytest.fixture
@@ -719,8 +740,10 @@ class TestForkedEntityLoop:
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
         # 3-row start chunks: 41 users and 30 items span 14 and 10 chunks,
-        # so 2 or 3 processes take unequal shares and the last chunk is short
+        # so 2 or 3 processes take unequal shares and the last chunk is short;
+        # a work floor of one multiply-add lets these small calls fork
         monkeypatch.setattr(ials.solver, "_START_CHUNK_FLOATS", 3 * self.D)
+        monkeypatch.setattr(ials.solver, "_FORK_WORK", 1.0)
 
     @staticmethod
     def data(rng):
@@ -728,17 +751,6 @@ class TestForkedEntityLoop:
         items = np.concatenate([rng.choice(30, n, replace=False) for n in degrees])
         return InteractionSet.from_pairs(np.repeat(np.arange(41), degrees), items,
                                          num_users=41, num_items=30)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """One entry per fork made from this process."""
-        made, fork = [], os.fork
-
-        def spy():
-            made.append(1)
-            return fork()
-        monkeypatch.setattr(os, "fork", spy)
-        return made
 
     @staticmethod
     def on_cpus(monkeypatch, cpus):
@@ -808,6 +820,28 @@ class TestForkedEntityLoop:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("kind", ["local class", "unpicklable attribute",
+                                      "needs two arguments"])
+    def test_worker_error_that_does_not_pickle_keeps_its_message(self, rng, monkeypatch,
+                                                                  kind):
+        class Local(Exception):
+            pass
+
+        def fail(kernel, *args, **kw):
+            if kind == "local class":
+                raise Local("lost in a worker")
+            if kind == "needs two arguments":
+                raise TwoArguments("lost in", "a worker")
+            error = ValueError("lost in a worker")
+            error.lock = threading.Lock()
+            raise error
+
+        name = {"local class": "Local", "unpicklable attribute": "ValueError",
+                "needs two arguments": "TwoArguments"}[kind]
+        with pytest.raises(IalsError, match=f"^{name}: lost in a worker$"):
+            self.half_step_on_three(rng, monkeypatch, fail)
+        self.assert_no_child_left()
+
     @pytest.mark.parametrize("error", [NotPositiveDefinite, InputError, IalsError])
     def test_worker_error_is_raised_here(self, rng, monkeypatch, error):
         def fail(kernel, *args, **kw):
@@ -859,6 +893,106 @@ class TestForkedEntityLoop:
         assert ials.solver._cpus() == 1
         model = init_model(41, 30, self.D, seed=3)
         half_step(update_users, model, self.data(rng), hp_direct(dim=self.D))
+
+
+class TestWorkPlan:
+    """_plan's cut and process count at the real start chunks (4096 rows at
+    d = 8): work-cut chunks where the cut cannot change a bit, no fork below
+    the work floor."""
+
+    D = 8
+
+    @staticmethod
+    def run_on(monkeypatch, cpus, run):
+        monkeypatch.setattr(ials.solver, "_cpus", lambda: cpus)
+        return run()
+
+    @pytest.fixture
+    def no_floor(self, monkeypatch):
+        monkeypatch.setattr(ials.solver, "_FORK_WORK", 1.0)
+
+    def fold_in(self, rng, solver):
+        H = rng.standard_normal((30, self.D)) * 0.1
+        hp = hp_direct(dim=self.D, solver=solver, block_size=3, projection_repeats=4)
+        side = ials.solver.solver_side(H, gramian(H), hp)
+        item_lists = [rng.choice(30, n, replace=False) for n in (0, 1, 2, 5, 9, 14) * 3]
+        return lambda: project_user(*csr(item_lists), side, hp).tobytes()
+
+    def user_half_step(self, rng, solver, sigma_star=0.1):
+        data = TestForkedEntityLoop.data(rng)
+        hp = hp_direct(dim=self.D, solver=solver, block_size=3)
+
+        def run():
+            model = init_model(41, 30, self.D, sigma_star=sigma_star, seed=3)
+            loss_s = half_step(update_users, model, data, hp)
+            return model.user_factors.tobytes(), loss_s
+        return run
+
+    @pytest.mark.usefixtures("no_floor")
+    @pytest.mark.parametrize("solver", ["exact", "block"])
+    def test_fold_in_below_one_start_chunk_forks(self, rng, monkeypatch, forks, solver):
+        run = self.fold_in(rng, solver)
+        assert self.run_on(monkeypatch, 1, run) == self.run_on(monkeypatch, 2, run)
+        assert len(forks) == 1
+
+    @pytest.mark.usefixtures("no_floor")
+    def test_exact_half_step_in_one_start_chunk_is_split(self, rng, monkeypatch, forks):
+        run = self.user_half_step(rng, "exact")
+        assert self.run_on(monkeypatch, 1, run) == self.run_on(monkeypatch, 2, run)
+        assert len(forks) == 1
+
+    @pytest.mark.usefixtures("no_floor")
+    def test_block_half_step_from_zero_start_is_split(self, rng, monkeypatch, forks):
+        run = self.user_half_step(rng, "block", sigma_star=0.0)
+        assert self.run_on(monkeypatch, 1, run) == self.run_on(monkeypatch, 2, run)
+        assert len(forks) == 1
+
+    @pytest.mark.usefixtures("no_floor")
+    def test_block_half_step_keeps_one_start_chunk_on_one_process(self, rng, monkeypatch,
+                                                                  forks):
+        self.run_on(monkeypatch, 2, self.user_half_step(rng, "block"))
+        assert forks == []
+
+    @pytest.mark.parametrize("solver", ["exact", "block"])
+    @pytest.mark.parametrize("call", ["fold-in", "half-step"])
+    def test_no_fork_below_the_work_floor(self, rng, monkeypatch, forks, solver, call):
+        run = self.fold_in(rng, solver) if call == "fold-in" else self.user_half_step(rng, solver)
+        self.run_on(monkeypatch, 2, run)
+        assert forks == []
+
+    @pytest.mark.usefixtures("no_floor")
+    def test_work_cut_chunks_are_even(self, monkeypatch):
+        # 8 chunks per process: 160 rows of equal work in 16 chunks of 10,
+        # and a first row heavier than a chunk's share alone in its chunk
+        monkeypatch.setattr(ials.solver, "_cpus", lambda: 2)
+        factors = np.zeros((160, self.D))
+        chunks, procs = ials.solver._plan(factors, np.arange(161) * 5, 3, 4)
+        assert procs == 2
+        assert chunks == [(first, first + 10) for first in range(0, 160, 10)]
+        ptr = np.concatenate([[0], 1_000_000 + np.arange(160) * 5])
+        chunks, _ = ials.solver._plan(factors, ptr, 3, 4)
+        assert chunks[0] == (0, 1) and chunks[-1][1] == 160
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+
+    @pytest.mark.parametrize("floor", [1.0, None])
+    def test_workers_are_the_processes_of_the_larger_half_step(self, rng, monkeypatch,
+                                                               forks, floor):
+        if floor is not None:
+            monkeypatch.setattr(ials.solver, "_FORK_WORK", floor)
+        monkeypatch.setattr(ials.solver, "_cpus", lambda: 3)
+        forked = []   # forks made by each half-step
+        for name in ("update_users", "update_items"):
+            def counted(*args, update=getattr(ials.solver, name), **kw):
+                before = len(forks)
+                loss_s = update(*args, **kw)
+                forked.append(len(forks) - before)
+                return loss_s
+            monkeypatch.setattr(ials.solver, name, counted)
+        workers = []
+        train(TestForkedEntityLoop.data(rng), hp_direct(dim=self.D, iterations=2),
+              observer=lambda t, report, metrics, phases: workers.append(phases["workers"]))
+        assert workers == [max(forked[0:2]) + 1, max(forked[2:4]) + 1]
+        assert workers == ([3, 3] if floor else [1, 1])
 
 
 class TestNonFiniteGuard:
@@ -967,7 +1101,7 @@ class TestTrain:
         for *_, phases in seen:
             assert set(phases) == {"t_users", "t_items", "t_eval", "workers"}
             assert all(phases[k] >= 0.0 for k in ("t_users", "t_items", "t_eval"))
-            assert phases["workers"] == 1   # 8 users and 6 items: one start chunk each
+            assert phases["workers"] == 1   # 8 users and 6 items: below the work floor
 
     def test_eval_fn_passed_to_observer(self, small_data):
         calls = []
