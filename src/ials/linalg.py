@@ -4,19 +4,56 @@ The primitives the solver needs: Gramian accumulation, symmetric
 positive-definite solves, and pinning the BLAS thread count around many
 small solves.  Everything is float64; Gramian sums over millions of
 interactions lose too much precision in float32.
+
+LAPACK (dpotrf, dpotrs) comes from scipy's f2py extension module
+scipy/linalg/_flapack, loaded straight from its file: importing
+scipy.linalg would first run that package's init, which costs more than
+the rest of `import ials` together.  Where no such file is found or it
+does not load, the module is imported through scipy.linalg instead.
+Either way the same LAPACK and OpenBLAS machine code runs.
 """
 
 from __future__ import annotations
 
 import ctypes
-import importlib
+import importlib.machinery
+import importlib.util
+import os
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import IalsError
+
+
+def _load_flapack(linalg_dir: str | None = None):
+    """scipy's LAPACK extension module, loaded from its file in linalg_dir.
+
+    linalg_dir defaults to the installed scipy's linalg directory, found
+    without importing scipy.  The module is not entered in sys.modules: a
+    later `import scipy.linalg` loads its own copy.  Where no file there
+    loads, the module is imported through scipy.linalg.
+    """
+    if linalg_dir is None:
+        scipy = importlib.util.find_spec("scipy")
+        linalg_dir = scipy and os.path.join(scipy.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if linalg_dir else ():
+        spec = importlib.util.spec_from_file_location(
+            "_flapack", os.path.join(linalg_dir, "_flapack" + suffix))
+        try:
+            # an extension module is linked and initialised in module_from_spec
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:   # no such file, or not a loadable extension
+            continue
+        return module
+    from scipy.linalg import _flapack
+    return _flapack
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 # Relative diagonal jitter added when a Cholesky factorization fails, and
 # how often it is escalated (x10 each time) before giving up.
@@ -26,8 +63,8 @@ JITTER_RETRIES = 3
 # numpy and scipy each bundle an OpenBLAS.  An extension module linked
 # against it resolves its thread-count symbols; numpy's build uses 64-bit
 # integers and suffixed names.
-_OPENBLAS = (("numpy.linalg._umath_linalg", "scipy_openblas_{}_num_threads64_"),
-             ("scipy.linalg._flapack", "scipy_openblas_{}_num_threads"))
+_OPENBLAS = ((_umath_linalg.__file__, "scipy_openblas_{}_num_threads64_"),
+             (_flapack.__file__, "scipy_openblas_{}_num_threads"))
 # (get, set) function pairs, looked up on the first blas_threads call.
 _thread_controls: list | None = None
 
@@ -116,10 +153,10 @@ def _openblas_thread_controls() -> list:
     global _thread_controls
     if _thread_controls is None:
         controls = []
-        for module, symbol in _OPENBLAS:
+        for path, symbol in _OPENBLAS:
             try:
-                lib = ctypes.CDLL(importlib.import_module(module).__file__)
-            except (ImportError, OSError):
+                lib = ctypes.CDLL(path)
+            except OSError:
                 continue
             get = getattr(lib, symbol.format("get"), None)
             set_ = getattr(lib, symbol.format("set"), None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,9 @@ def save_model(path, model: FactorModel) -> None:
               f"{model.num_users} {model.num_items} {model.dim}\n")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(model.user_factors.astype("<f8", copy=False).tobytes(order="C"))
-        fh.write(model.item_factors.astype("<f8", copy=False).tobytes(order="C"))
+        # straight from each matrix's buffer: both are C-contiguous float64
+        for factors in (model.user_factors, model.item_factors):
+            fh.write(np.ascontiguousarray(factors, dtype="<f8"))
 
 
 def load_model(path) -> FactorModel:
@@ -118,18 +120,23 @@ def load_model(path) -> FactorModel:
             raise InputError(f"{path}: malformed header {header!r}") from exc
         if min(num_users, num_items, dim) < 1:
             raise InputError(f"{path}: non-positive shape in header {header!r}")
-        payload = fh.read()
-
-    expected = (num_users + num_items) * dim * 8
-    if len(payload) != expected:
+        expected = (num_users + num_items) * dim * 8
+        found = expected
+        if fh.seekable():   # a file that can tell its size does so before allocating
+            start = fh.tell()
+            found = fh.seek(0, os.SEEK_END) - start
+            fh.seek(start)
+        if found == expected:
+            # read into the two matrices: no copy of the payload besides them
+            w = np.empty((num_users, dim), dtype="<f8")
+            h = np.empty((num_items, dim), dtype="<f8")
+            found = fh.readinto(w) + fh.readinto(h) + len(fh.read())
+    if found != expected:
         raise InputError(
             f"{path}: expected {expected} payload bytes for shape "
-            f"({num_users}+{num_items})x{dim}, found {len(payload)}"
+            f"({num_users}+{num_items})x{dim}, found {found}"
         )
-    flat = np.frombuffer(payload, dtype="<f8")
-    bad = np.count_nonzero(~np.isfinite(flat))
+    bad = np.count_nonzero(~np.isfinite(w)) + np.count_nonzero(~np.isfinite(h))
     if bad:
         raise InputError(f"{path}: {bad} non-finite factor entries")
-    w = flat[: num_users * dim].reshape(num_users, dim).astype(np.float64)
-    h = flat[num_users * dim:].reshape(num_items, dim).astype(np.float64)
     return FactorModel(user_factors=w, item_factors=h)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ials
 from ials.dataset import InteractionSet
 from ials.linalg import gramian
 from ials.solver import penalty_weights, update_users
@@ -41,3 +47,12 @@ def half_step(update, model, data, hp):
     lams = penalty_weights(data, hp)[0 if users else 1]
     G = gramian(model.item_factors if users else model.user_factors)
     return update(model, data, hp, lams, G)
+
+
+def run_python(script, *args):
+    """Run a Python script in a fresh interpreter that imports this ials."""
+    env = dict(os.environ)
+    src = str(Path(ials.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)

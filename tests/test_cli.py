@@ -18,6 +18,8 @@ from ials.errors import IalsError
 from ials.model import FactorModel, load_model, save_model
 from ials.solver import Hyperparameters
 
+from conftest import run_python
+
 
 def write_raw(path, rng, n_users=20, n_items=12, min_deg=5, max_deg=8,
               with_time=True):
@@ -593,6 +595,44 @@ class TestEvaluateCommand:
                    str(run / "model-seed1.bin"), "--alpha0", "0.2",
                    "--lambda", "0.02"])
         assert rc == 2
+
+
+# Split, train and evaluate with both solvers, in a fresh process that
+# fails if scipy.linalg was imported: by `import ials.cli`, or later by
+# the solver's first BLAS thread pin.
+STARTUP_SCRIPT = """
+import sys
+import ials.cli
+
+def check(where):
+    if "scipy.linalg" in sys.modules:
+        sys.exit(f"scipy.linalg imported {where}")
+
+check("by import ials.cli")
+raw, out = sys.argv[1:]
+run = [["split", "--data", raw, "--protocol", "strong-gen", "--out", out + "/sg",
+        "--holdout-users", "4", "--validation-users", "3", "--seed", "7"]]
+for solver in ("exact", "block"):
+    run += [["train", "--split-dir", out + "/sg", "--protocol", "strong-gen",
+             "--out", out + "/" + solver, "--dim", "4", "--alpha0", "0.2",
+             "--lambda", "0.02", "--iterations", "2", "--solver", solver,
+             "--block-size", "2", "--recall-ks", "3", "--ndcg-ks", "4"],
+            ["evaluate", "--split-dir", out + "/sg", "--protocol", "strong-gen",
+             "--model", out + "/" + solver + "/model-seed0.bin", "--alpha0", "0.2",
+             "--lambda", "0.02", "--solver", solver, "--block-size", "2",
+             "--recall-ks", "3", "--ndcg-ks", "4", "--out", out + "/" + solver + ".json"]]
+for argv in run:
+    if ials.cli.main(argv) != 0:
+        sys.exit("failed: ials " + " ".join(argv))
+    check("by ials " + " ".join(argv))
+"""
+
+
+def test_loop_never_imports_scipy_linalg(tmp_path, raw_file):
+    done = run_python(STARTUP_SCRIPT, raw_file, tmp_path)
+    assert done.returncode == 0, done.stderr[-2000:]
+    for solver in ("exact", "block"):
+        assert json.loads((tmp_path / f"{solver}.json").read_text())["n_users"] == 4
 
 
 class TestBrokenSplitDir:

@@ -1,11 +1,14 @@
 import ast
+import importlib
+import importlib.machinery
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, lapack
 
 import ials.linalg
 from ials.linalg import (
@@ -16,6 +19,8 @@ from ials.linalg import (
     solve_factored,
     solve_spd,
 )
+
+from conftest import run_python
 
 
 class TestGramian:
@@ -146,6 +151,23 @@ class TestBlasThreads:
                 raise RuntimeError("boom")
         assert self.counts() == before
 
+    def test_pins_both_bundled_libraries(self):
+        # numpy's OpenBLAS and scipy's, the latter found through the
+        # LAPACK module's own file
+        controls = ials.linalg._openblas_thread_controls()
+        assert len(controls) == 2
+        assert ials.linalg._OPENBLAS[1][0] == ials.linalg._flapack.__file__
+        before = self.counts()
+        for _, set_ in controls:
+            set_(2)
+        try:
+            with blas_threads(1):
+                assert self.counts() == [1, 1]
+            assert self.counts() == [2, 2]
+        finally:
+            for (_, set_), count in zip(controls, before):
+                set_(count)
+
     def test_no_op_without_symbols(self, monkeypatch):
         real = ials.linalg._openblas_thread_controls()
         before = [get() for get, _ in real]
@@ -153,6 +175,67 @@ class TestBlasThreads:
         with blas_threads(1):
             assert [get() for get, _ in real] == before
         assert [get() for get, _ in real] == before
+
+
+def spd_system(rng, d):
+    A = gramian(rng.standard_normal((d + 3, d))) + 0.01 * np.eye(d)
+    return A, rng.standard_normal((d, 2))
+
+
+class TestLapackLoader:
+    def test_loaded_from_file_outside_scipy_linalg(self):
+        module = ials.linalg._flapack
+        assert module is not sys.modules.get("scipy.linalg._flapack")
+        assert Path(module.__file__).parent.name == "linalg"
+        assert ials.linalg.dpotrf is module.dpotrf
+        assert ials.linalg.dpotrs is module.dpotrs
+
+    @pytest.mark.parametrize("d", [1, 7, 64])
+    def test_bitwise_as_scipy_lapack(self, rng, d):
+        for _ in range(5):
+            A, b = spd_system(rng, d)
+            L = cholesky(A)
+            L_ref, info = lapack.dpotrf(A, lower=1, clean=0)
+            assert info == 0
+            assert L.tobytes() == L_ref.tobytes()
+            x_ref, info = lapack.dpotrs(L_ref, b, lower=1)
+            assert info == 0
+            assert solve_factored(L, b).tobytes() == x_ref.tobytes()
+            assert solve_spd(A, b)[0].tobytes() == x_ref.tobytes()
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_falls_back_through_scipy_linalg(self, tmp_path, rng, broken):
+        if broken:   # a file of the right name that is no extension module
+            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+            (tmp_path / f"_flapack{suffix}").write_bytes(b"not a shared object")
+        module = ials.linalg._load_flapack(str(tmp_path))
+        assert module is importlib.import_module("scipy.linalg._flapack")
+        A, b = spd_system(rng, 7)
+        L, info = module.dpotrf(A, lower=1, clean=0)
+        assert info == 0
+        assert L.tobytes() == cholesky(A).tobytes()
+        assert module.dpotrs(L, b, lower=1)[0].tobytes() == solve_factored(L, b).tobytes()
+
+    def test_scipy_linalg_imports_afterwards(self):
+        # a fresh process: ials loads LAPACK first, scipy.linalg after it,
+        # and both copies of the module keep working
+        script = (
+            "import sys, numpy as np\n"
+            "import ials.linalg as il\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "assert il._flapack.__name__ == '_flapack'\n"
+            "import scipy.linalg\n"
+            "A = np.array([[4.0, 2.0], [2.0, 3.0]])\n"
+            "L = np.tril(il.cholesky(A))\n"
+            "assert np.array_equal(L, scipy.linalg.cholesky(A, lower=True))\n"
+            "assert scipy.linalg.lapack.dpotrf is not il.dpotrf\n"
+            "with il.blas_threads(1):\n"
+            "    x = il.solve_spd(A, np.ones(2))[0]\n"
+            "assert np.allclose(A @ x, 1.0)\n"
+            "assert len(il._openblas_thread_controls()) == 2\n"
+        )
+        done = run_python(script)
+        assert done.returncode == 0, done.stderr
 
 
 def test_only_linalg_imports_scipy():

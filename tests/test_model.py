@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,46 @@ class TestModelFile:
         path.write_bytes(blob[:-8])
         with pytest.raises(InputError):
             load_model(path)
+
+    def test_rejects_overlong_payload(self, tmp_path):
+        m = init_model(4, 4, 4, seed=0)
+        path = tmp_path / "m.bin"
+        save_model(path, m)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(InputError, match=r"expected 256 payload bytes for "
+                                             r"shape \(4\+4\)x4, found 264"):
+            load_model(path)
+
+    def test_size_checked_before_allocating(self, tmp_path):
+        # a header whose shape would not fit in memory fails on the size
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"ials-model v1 1000000000 1000000000 1000\n" + b"\0" * 16)
+        with pytest.raises(InputError, match="found 16$"):
+            load_model(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("extra", [0, 8, -8])
+    def test_reads_a_pipe(self, tmp_path, extra):
+        # a stream that cannot tell its size: the payload's size is checked
+        # after reading it
+        m = init_model(3, 2, 2, seed=0)
+        path = tmp_path / "m.bin"
+        save_model(path, m)
+        blob = path.read_bytes()
+        blob = blob + b"\0" * extra if extra >= 0 else blob[:extra]
+        r, w = os.pipe()
+        try:
+            os.write(w, blob)   # far below a pipe's buffer
+            os.close(w)
+            if extra:
+                with pytest.raises(InputError, match=f"found {80 + extra}$"):
+                    load_model(f"/dev/fd/{r}")
+            else:
+                back = load_model(f"/dev/fd/{r}")
+                assert np.array_equal(back.user_factors, m.user_factors)
+                assert np.array_equal(back.item_factors, m.item_factors)
+        finally:
+            os.close(r)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_factor(self, tmp_path, value):
