@@ -13,6 +13,7 @@ import gzip
 import io
 import logging
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
@@ -98,28 +99,27 @@ class InteractionSet:
                 f"for shape {num_users}x{num_items}"
             )
 
+        # Equal keys are equal pairs, so only timestamps make the order
+        # within a run of one key matter: then sort them last within each
+        # run, so that dedup keeps the latest.
         key = users * num_items + items
-        if timestamps is None:
-            order = np.argsort(key, kind="stable")
-        else:
-            # Sort timestamps last within each (u, i) group so dedup below
-            # keeps the latest one.
-            order = np.lexsort((timestamps, key))
-        key, users, items = key[order], users[order], items[order]
+        order = np.argsort(key)
+        key = key[order]
+        last = np.ones(key.size, dtype=bool)  # the last of each run of one key
+        last[:-1] = key[1:] != key[:-1]
+        del key
+        if timestamps is not None and not last.all():
+            order = np.lexsort((timestamps, users * num_items + items))
+        kept = order[last]
+        users, items = users[kept], items[kept]
         if timestamps is not None:
-            timestamps = timestamps[order]
-        if users.size:
-            keep = np.empty(users.size, dtype=bool)
-            keep[-1] = True
-            keep[:-1] = key[1:] != key[:-1]
-            users, items = users[keep], items[keep]
-            if timestamps is not None:
-                timestamps = timestamps[keep]
+            timestamps = timestamps[kept]
 
         user_ptr = np.zeros(num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(users, minlength=num_users), out=user_ptr[1:])
 
-        item_users = users[np.argsort(items, kind="stable")]
+        # pairs are unique now, so sorting (item, user) keys needs no stable sort
+        item_users = users[np.argsort(items * num_users + users)]
         item_ptr = np.zeros(num_items + 1, dtype=np.int64)
         np.cumsum(np.bincount(items, minlength=num_items), out=item_ptr[1:])
 
@@ -245,47 +245,105 @@ def _blocks(path):
         raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _loadtxt(text: str, dtype, delimiter: str, ndmin: int) -> np.ndarray:
-    """numpy's C reader on text: fields taken verbatim, empty lines skipped."""
+def _int_block(block: str, seps: str, canonical=()) -> np.ndarray:
+    """A block of lines that is a clean integer table, as an (n, width) int64 array.
+
+    Clean, as one byte scan finds: nothing but ASCII digits, the
+    one-character separators in seps and "\n"; every line as wide as the
+    first; fields of 1 to 18 digits (np.fromstring silently reads a longer
+    one that overflows as 2**63 - 1); and in the `canonical` columns no
+    leading zero but in "0", so that str() of each value there is its
+    text.  One np.fromstring call then parses the block.  Raises
+    ValueError for any other block.
+    """
+    table = bytearray(b"!" * 256)  # "!": not a byte of a clean block
+    table[ord("0"):ord("9") + 1] = b"0123456789"
+    table[ord("\n")] = ord("\n")
+    for sep in seps:
+        if not sep.isascii() or sep in "0123456789\n":
+            raise ValueError(f"separator {sep!r} cannot be scanned")
+        table[ord(sep)] = ord(" ")
+    text = block.encode().translate(table)  # UTF-8: other characters become "!"
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    codes = np.frombuffer(text, dtype=np.uint8)
+    stops = np.flatnonzero(codes < ord("0"))  # the byte after each field
+    ends = codes[stops]
+    lengths = np.diff(stops, prepend=-1) - 1
+    newline = ends == ord("\n")
+    width = int(np.argmax(newline)) + 1
+    if ((ends == ord("!")).any() or lengths.min() < 1 or lengths.max() > 18
+            or stops.size != width * np.count_nonzero(newline)
+            or not newline[width - 1::width].all()):
+        raise ValueError("not a clean integer table")
+    if canonical:
+        padded = ((codes[stops - lengths] == ord("0")) & (lengths > 1)).reshape(-1, width)
+        if padded[:, [j for j in canonical if j < width]].any():
+            raise ValueError("an id with a leading zero")
     with warnings.catch_warnings():
-        # it warns when the text holds only empty lines
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=delimiter,
-                          comments=None, quotechar=None, ndmin=ndmin)
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(text, dtype=np.int64, sep=" ")
+        except Warning as exc:  # a numpy that warns here: fall back rather than misread
+            raise ValueError(f"np.fromstring warned: {exc}") from exc
+    if values.size != stops.size:
+        raise ValueError("np.fromstring read another number of values")
+    return values.reshape(-1, width)
+
+
+def _table_rows(columns: list[np.ndarray], pos: dict[str, int], min_rating: float | None,
+                timed: bool):
+    """Kept rows of a table given as its columns.
+
+    Returns what _interaction_lines returns for the same rows, with keys
+    as arrays that do not keep the table alive.  Raises ValueError when
+    the rows are too short for the columns, or min_rating is set and they
+    have no rating field: rows that _interaction_lines rejects with their
+    line number.
+    """
+    width, rpos = len(columns), pos.get("rating")
+    if (width <= max(pos["user"], pos["item"])
+            or min_rating is not None and (rpos is None or rpos >= width)):
+        raise ValueError("short rows")
+    users = columns[pos["user"]]
+    keep = np.ones(users.size, dtype=bool) if min_rating is None else ~(columns[rpos] < min_rating)
+    users, items = users[keep], columns[pos["item"]][keep]
+    times = np.empty(0)
+    if timed and pos["time"] < width:
+        times = columns[pos["time"]][keep].astype(np.float64)
+    elif timed and users.size:
+        timed = False
+    return users, items, times, timed
+
+
+def _interaction_ints(block: str, pos: dict[str, int], delimiter: str,
+                      min_rating: float | None, timed: bool):
+    """Kept rows of a block that _int_block takes with canonical user and
+    item ids, keys as int64 arrays; raises ValueError for any other block."""
+    table = _int_block(block, delimiter, (pos["user"], pos["item"]))
+    return _table_rows(list(table.T), pos, min_rating, timed)
 
 
 def _interaction_table(block: str, pos: dict[str, int], delimiter: str,
                        min_rating: float | None, timed: bool):
     """Kept rows of a block of raw lines that all have the same number of fields.
 
-    Returns what _interaction_lines returns for the block.  Raises
-    ValueError for any other block: ragged rows, a row that
-    _interaction_lines would reject, or a multi-character delimiter,
-    which numpy's reader lacks.  numpy's float parser is stricter than
-    float(), so a number it rejects only sends the block down the
-    line-by-line path.
+    Returns what _interaction_lines returns for the block, keys as object
+    arrays.  Raises ValueError for any other block: ragged rows or a row
+    that _interaction_lines would reject.  numpy's float parser is
+    stricter than float(), so a number it rejects only sends the block
+    down the line-by-line path.
     """
-    if len(delimiter) > 1:
-        raise ValueError("multi-character delimiter")
     width = block.lstrip("\n").partition("\n")[0].count(delimiter) + 1
-    if width <= max(pos["user"], pos["item"]):
-        raise ValueError("short rows")
-    rpos = pos.get("rating")
-    if min_rating is not None and (rpos is None or rpos >= width):
-        raise ValueError("no rating field")
-    numeric = {rpos, pos["time"] if timed else None}
-    table = _loadtxt(block, [(f"f{j}", np.float64 if j in numeric else object)
-                             for j in range(width)], delimiter, 1)
-    keep = np.ones(len(table), dtype=bool)
-    if min_rating is not None:
-        keep = ~(table[f"f{rpos}"] < min_rating)
-    times = np.empty(0)
-    if timed and pos["time"] < width:
-        times = table[f"f{pos['time']}"][keep]
-    elif timed and keep.any():
-        timed = False
-    return (table[f"f{pos['user']}"][keep].tolist(), table[f"f{pos['item']}"][keep].tolist(),
-            times, timed)
+    numeric = {pos.get("rating"), pos["time"] if timed else None}
+    with warnings.catch_warnings():
+        # it warns when the text holds only empty lines
+        warnings.simplefilter("ignore", UserWarning)
+        table = np.loadtxt(io.StringIO(block), delimiter=delimiter, comments=None,
+                           quotechar=None, ndmin=1,
+                           dtype=[(f"f{j}", np.float64 if j in numeric else object)
+                                  for j in range(width)])
+    return _table_rows([table[name] for name in table.dtype.names], pos, min_rating, timed)
 
 
 def _interaction_lines(block: str, lineno: int, path, pos: dict[str, int],
@@ -327,11 +385,69 @@ def _interaction_lines(block: str, lineno: int, path, pos: dict[str, int],
     return users, items, np.array(times, dtype=np.float64), timed
 
 
+def _one_char(block: str, delimiter: str) -> tuple[str, str]:
+    """block and delimiter, with a multi-character delimiter replaced by the
+    first character that is not in the block, whitespace or a digit.
+
+    str.replace and str.split both cut left to right without overlap, so
+    every line splits into the same fields as with the delimiter.
+    """
+    if len(delimiter) == 1:
+        return block, delimiter
+    sep = next(c for c in map(chr, range(1, sys.maxunicode + 1))
+               if not (c.isspace() or c.isdigit()) and c not in block)
+    return block.replace(delimiter, sep), sep
+
+
 def _codes(index: dict[str, int], keys: list[str]) -> np.ndarray:
     """Contiguous indices of keys; unseen keys are numbered in order of appearance."""
     for key in dict.fromkeys(keys):
         index.setdefault(key, len(index))
     return np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+class _IdCodes:
+    """Contiguous indices of one side's external ids, read a block at a time.
+
+    Ids are numbered in order of first appearance and keyed by their text;
+    an int64 id by str(id), which is its text in the file.  Blocks of
+    int64 ids wait and are coded together by one np.unique, so that each
+    distinct id becomes text once, not once in every block it occurs in.
+    """
+
+    def __init__(self):
+        self.index: dict[str, int] = {}
+        self._coded: list[np.ndarray] = []
+        self._waiting: list[np.ndarray] = []
+
+    def add(self, keys) -> None:
+        """Take the next block's keys: str (a list or an object array) or int64 ids."""
+        if isinstance(keys, np.ndarray):
+            if keys.dtype == np.int64:
+                self._waiting.append(keys)
+                return
+            keys = keys.tolist()
+        self._code_waiting()
+        self._coded.append(_codes(self.index, keys))
+
+    def codes(self) -> np.ndarray:
+        """Indices of every key taken so far, in order; takes them out."""
+        self._code_waiting()
+        coded, self._coded = self._coded, []
+        return np.concatenate([np.empty(0, dtype=np.int64), *coded])
+
+    def _code_waiting(self) -> None:
+        if not self._waiting:
+            return
+        keys = np.concatenate(self._waiting)
+        self._waiting = []
+        ids, inverse = np.unique(keys, return_inverse=True)
+        first = np.full(ids.size, keys.size)
+        np.minimum.at(first, inverse, np.arange(keys.size))  # twice as fast as return_index
+        order = np.argsort(first)
+        codes = np.empty(ids.size, dtype=np.int64)
+        codes[order] = _codes(self.index, list(map(str, ids[order].tolist())))
+        self._coded.append(codes[inverse])
 
 
 def load_interactions(path, *, delimiter: str | None = None,
@@ -351,6 +467,7 @@ def load_interactions(path, *, delimiter: str | None = None,
         path: csv/tsv file, optionally gzip-compressed.
         delimiter: field separator; default is tab for .tsv files and
             comma otherwise.  Multi-character separators (e.g. "::") work.
+            Ids are compared as text: "007" and "7" are two ids.
         columns: comma-separated positional names out of
             user,item,rating,time,skip.
         min_rating: when set, rows with rating < min_rating are dropped
@@ -367,40 +484,42 @@ def load_interactions(path, *, delimiter: str | None = None,
         raise InputError(f"delimiter must be non-empty and on one line, got {delimiter!r}")
     pos = _parse_columns(columns)
 
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    users, items, times = [], [], []
+    users, items, times = _IdCodes(), _IdCodes(), []
     timed = "time" in pos
 
     for start, block in _blocks(path):
+        block, sep = _one_char(block, delimiter)
         try:
             try:
-                rows = _interaction_table(block, pos, delimiter, min_rating, timed)
+                rows = _interaction_ints(block, pos, sep, min_rating, timed)
             except ValueError:
-                rows = _interaction_lines(block, start, path, pos,
-                                          delimiter, min_rating, timed)
+                try:
+                    rows = _interaction_table(block, pos, sep, min_rating, timed)
+                except ValueError:
+                    rows = _interaction_lines(block, start, path, pos, sep, min_rating, timed)
         except ParseError:
             if start > 1:
                 raise
             log.debug("treating first line of %s as a header", path)
             continue
         u_keys, i_keys, block_times, timed = rows
-        users.append(_codes(user_index, u_keys))
-        items.append(_codes(item_index, i_keys))
+        users.add(u_keys)
+        items.add(i_keys)
         times.append(block_times)
 
-    users = np.concatenate(users) if users else np.empty(0, dtype=np.int64)
-    if not users.size:
+    user_codes = users.codes()
+    if not user_codes.size:
         raise EmptyDataset(f"no interactions loaded from {path}")
+    times = np.concatenate(times) if timed else None
 
     return InteractionSet.from_pairs(
-        users,
-        np.concatenate(items),
-        num_users=len(user_index),
-        num_items=len(item_index),
-        timestamps=np.concatenate(times) if timed else None,
-        user_ids=list(user_index),
-        item_ids=list(item_index),
+        user_codes,
+        items.codes(),
+        num_users=len(users.index),
+        num_items=len(items.index),
+        timestamps=times,
+        user_ids=list(users.index),
+        item_ids=list(items.index),
     )
 
 
@@ -620,10 +739,9 @@ def _read_int_table(path, width: int | None = None, may_be_empty: bool = False) 
     parts = []
     for start, block in _blocks(path):
         try:
-            rows = _loadtxt(block.replace("\t", ","), np.int64, ",", 2)
-            if rows.size and (rows.shape[1] != (width or max(rows.shape[1], 2))
-                              or rows.min() < 0):
-                raise ValueError("bad row")
+            rows = _int_block(block, ",\t")
+            if rows.shape[1] != (width or max(rows.shape[1], 2)):
+                raise ValueError("bad width")
         except ValueError:
             rows = _int_lines(block, start, path, width)
         if rows.size:

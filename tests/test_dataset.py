@@ -1,7 +1,9 @@
+import contextlib
 import gzip
 import filecmp
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -190,6 +192,30 @@ class TestLoadInteractions:
     def test_duplicate_pairs_merge(self, tmp_path):
         path = self._write(tmp_path, "a,x,5,1\na,x,5,9\nb,x,5,2\n")
         assert load_interactions(path).num_pairs == 2
+
+    def test_padded_integer_id_is_another_id(self, tmp_path):
+        # ids are compared as text on the integer path too
+        path = self._write(tmp_path, "1,1\n7,1\n007,1\n7,02\n7,2\n")
+        data = load_interactions(path)
+        assert list(data.user_ids) == ["1", "7", "007"]
+        assert list(data.item_ids) == ["1", "02", "2"]
+        assert data.user_counts.tolist() == [1, 3, 1]
+
+    def test_string_id_after_integer_blocks(self, tmp_path):
+        lines = [f"{u % 7 + 1},{u * 5 % 11},{u % 5 + 1},{900 + u}" for u in range(40)]
+        lines[30] = "a,3,4,1000"
+        path = self._write(tmp_path, "\n".join(lines) + "\n")
+        expected = oracles.load_interactions_lines(path)
+        with mock.patch.object(ials.dataset, "_BLOCK_CHARS", 16), \
+                mock.patch.object(ials.dataset, "_interaction_table",
+                                  wraps=ials.dataset._interaction_table) as table:
+            got = load_interactions(path)
+        assert table.call_count == 1  # the block with "a"; integer blocks before and after
+        assert list(got.user_ids) == list(expected.user_ids)
+        assert list(got.item_ids) == list(expected.item_ids)
+        assert np.array_equal(got.user_ptr, expected.user_ptr)
+        assert np.array_equal(got.user_items, expected.user_items)
+        assert np.array_equal(got.timestamps, expected.timestamps)
 
 
 class TestStrongGeneralizationSplit:
@@ -422,6 +448,28 @@ class TestSplitDirIO:
         with pytest.raises(InputError):
             ials.dataset.load_leave_one_out(tmp_path)
 
+    @pytest.mark.parametrize("big", ["9999999999999999999", "99999999999999999999"])
+    def test_overlong_id_never_reaches_fromstring(self, tmp_path, big):
+        # np.fromstring would read both as 2**63 - 1
+        path = tmp_path / "train.csv"
+        path.write_text(f"0,1\n2,3\n4,{big}\n5,6\n")
+        with mock.patch.object(np, "fromstring", wraps=np.fromstring) as spy, \
+                pytest.raises(ParseError, match=f"^{re.escape(str(path))} line 3: id too large$"):
+            ials.dataset._read_int_table(path, 2)
+        assert spy.called and not any(big.encode() in c.args[0] for c in spy.call_args_list)
+
+    def test_largest_int64_id_reads(self, tmp_path):
+        path = tmp_path / "train.csv"
+        path.write_text("0,1\n2,9223372036854775807\n")
+        assert ials.dataset._read_int_table(path, 2).tolist() == [[0, 1], [2, 2 ** 63 - 1]]
+
+    def test_blank_and_padded_lines_read_as_the_oracle_reads_them(self, tmp_path):
+        path = tmp_path / "train.csv"
+        path.write_text("0,1\n\n 2,3\n4 ,5\n  \n6, 7\n8\t9 \n\t\n10,11")
+        got = ials.dataset._read_int_table(path, 2)
+        assert got.tolist() == oracles.read_int_table_lines(path, 2).tolist()
+        assert got.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]
+
     def test_ragged_negatives(self, tmp_path):
         (tmp_path / "train.csv").write_text("0,0\n1,0\n")
         (tmp_path / "test_holdout.csv").write_text("0,1\n1,2\n")
@@ -461,8 +509,11 @@ class TestSplitDirIO:
 
 COLUMN_LISTS = ["user,item", "user,item,rating", "user,item,rating,time",
                 "skip,user,item,time", "user,skip,item,rating,time"]
-IDS = ["1", "2", "10", "01", "a", "b", "ab", " a"]
+IDS = ["1", "2", "10", "01", "a", "b", "ab", " a",
+       "0", "007", "+7", " 7", "-0", "-7", "99999999999999999999"]
 NUMBERS = ["1", "2.5", "4", "5", " 3", "1e1", "nan"]
+# fields of a clean integer table, which the byte scan takes
+CANONICAL = ["0", "1", "3", "7", "10", "978300760", "999999999999999999"]
 
 
 @st.composite
@@ -471,6 +522,12 @@ def raw_files(draw):
     columns = draw(st.sampled_from(COLUMN_LISTS))
     names = columns.split(",")
     delimiter = draw(st.sampled_from([",", "\t", "::"]))
+    min_rating = draw(st.sampled_from([None, None, 3.0])) if "rating" in names else None
+    kwargs = dict(delimiter=delimiter, columns=columns, min_rating=min_rating)
+    if draw(st.integers(0, 3)) == 0:  # every field a canonical integer
+        lines = [delimiter.join(draw(st.sampled_from(CANONICAL)) for _ in names)
+                 for _ in range(draw(st.integers(1, 12)))]
+        return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), kwargs
     lines = []
     if draw(st.booleans()):
         lines.append(delimiter.join(names))  # header
@@ -487,9 +544,7 @@ def raw_files(draw):
         fields = lines[row].split(delimiter)
         fields[draw(st.integers(0, len(fields) - 1))] = "x"
         lines[row] = delimiter.join(fields)
-    min_rating = draw(st.sampled_from([None, None, 3.0])) if "rating" in names else None
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), dict(
-        delimiter=delimiter, columns=columns, min_rating=min_rating)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), kwargs
 
 
 def _load_or_error(load, path, kwargs):
@@ -535,6 +590,11 @@ def split_files(draw):
     """Text of a split file with the width and may_be_empty to read it with."""
     width = draw(st.sampled_from([None, 2, 3]))
     n_fields = width or draw(st.integers(1, 4))
+    if draw(st.integers(0, 3)) == 0:  # canonical fields only, which the byte scan takes
+        lines = [draw(st.sampled_from([",", "\t"])).join(
+            draw(st.sampled_from(CANONICAL)) for _ in range(n_fields))
+            for _ in range(draw(st.integers(1, 30)))]
+        return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), width, draw(st.booleans())
     lines = []
     if draw(st.booleans()):
         lines.append(draw(st.sampled_from(["user,item", "user\titem", "u", "1,x"])))
@@ -574,6 +634,44 @@ class TestReadIntTableMatchesOracle:
         else:
             assert isinstance(got, np.ndarray) and got.dtype == np.int64
             assert got.shape == expected.shape and np.array_equal(got, expected)
+
+
+def test_clean_integer_files_take_the_byte_scan(tmp_path):
+    """A numpy whose np.fromstring text mode warns or fails shows here, not
+    as a slowdown: every block of these files must skip the other readers."""
+    rows = [(u % 13, u * 7 % 31, u % 5 + 1, 978300760 + u) for u in range(200)]
+    ratings = tmp_path / "ratings.dat"
+    ratings.write_text("".join("{}::{}::{}::{}\n".format(*r) for r in rows))
+    train = tmp_path / "train.csv"
+    train.write_text("".join(f"{u},{i}\n" if u % 2 else f"{u}\t{i}\n" for u, i, _, _ in rows))
+    slow = ("_interaction_table", "_interaction_lines", "_int_lines")
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(ials.dataset, "_BLOCK_CHARS", 256))
+        spies = [stack.enter_context(mock.patch.object(
+            ials.dataset, name, wraps=getattr(ials.dataset, name))) for name in slow]
+        data = load_interactions(ratings, delimiter="::")
+        table = ials.dataset._read_int_table(train, 2)
+    assert {name: spy.call_count for name, spy in zip(slow, spies)} == dict.fromkeys(slow, 0)
+    expected = oracles.load_interactions_lines(ratings, delimiter="::")
+    assert list(data.user_ids) == list(expected.user_ids)
+    assert list(data.item_ids) == list(expected.item_ids)
+    assert np.array_equal(data.user_items, expected.user_items)
+    assert np.array_equal(data.timestamps, expected.timestamps)
+    assert table.tolist() == [[u, i] for u, i, _, _ in rows]
+
+
+def test_a_warning_from_fromstring_falls_back(tmp_path):
+    fromstring = np.fromstring
+
+    def warns(*args, **kwargs):
+        warnings.warn("text mode is deprecated", DeprecationWarning)
+        return fromstring(*args, **kwargs)
+
+    train = tmp_path / "train.csv"
+    train.write_text("0,1\n2,3\n")
+    with mock.patch.object(np, "fromstring", warns):
+        assert ials.dataset._read_int_table(train, 2).tolist() == [[0, 1], [2, 3]]
+        assert list(load_interactions(train).user_ids) == ["0", "2"]
 
 
 class TestWritersMatchOracle:
