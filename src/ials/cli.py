@@ -197,17 +197,16 @@ def cmd_split(ns: argparse.Namespace) -> int:
             seed=ns.seed,
         )
         ds.save_strong_generalization(ns.out, validation, test)
-        ds.write_id_maps(ns.out, data)
         print(f"train interactions={validation.train.num_pairs} "
               f"validation users={len(validation.users)} test users={len(test.users)}")
     else:
         split = ds.leave_one_out_split(data, n_negatives=ns.negatives, seed=ns.seed,
                                        allow_seen_negatives=ns.allow_seen_negatives)
         ds.save_leave_one_out(ns.out, split)
-        ds.write_id_maps(ns.out, data)
         print(f"train interactions={split.train.num_pairs} "
               f"holdout users={split.users.size} "
               f"negatives per user={split.negatives.shape[1]}")
+    ds.write_id_maps(ns.out, data)
     print(f"split written to {ns.out}")
     return 0
 

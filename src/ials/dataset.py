@@ -267,9 +267,11 @@ def _int_block(block: str, seps: str, canonical=()) -> np.ndarray:
     if not text.endswith(b"\n"):
         text += b"\n"
     codes = np.frombuffer(text, dtype=np.uint8)
-    stops = np.flatnonzero(codes < ord("0"))  # the byte after each field
+    if codes.size >= 2 ** 31:   # field bounds are int32 below
+        raise ValueError("block too long to scan")
+    stops = np.flatnonzero(codes < ord("0")).astype(np.int32)  # the byte after each field
+    lengths = np.diff(stops, prepend=np.int32(-1)) - 1
     ends = codes[stops]
-    lengths = np.diff(stops, prepend=-1) - 1
     newline = ends == ord("\n")
     width = int(np.argmax(newline)) + 1
     if ((ends == ord("!")).any() or lengths.min() < 1 or lengths.max() > 18
@@ -314,14 +316,6 @@ def _table_rows(columns: list[np.ndarray], pos: dict[str, int], min_rating: floa
     elif timed and users.size:
         timed = False
     return users, items, times, timed
-
-
-def _interaction_ints(block: str, pos: dict[str, int], delimiter: str,
-                      min_rating: float | None, timed: bool):
-    """Kept rows of a block that _int_block takes with canonical user and
-    item ids, keys as int64 arrays; raises ValueError for any other block."""
-    table = _int_block(block, delimiter, (pos["user"], pos["item"]))
-    return _table_rows(list(table.T), pos, min_rating, timed)
 
 
 def _interaction_table(block: str, pos: dict[str, int], delimiter: str,
@@ -491,7 +485,9 @@ def load_interactions(path, *, delimiter: str | None = None,
         block, sep = _one_char(block, delimiter)
         try:
             try:
-                rows = _interaction_ints(block, pos, sep, min_rating, timed)
+                # int64 keys, canonical ids ("007" is not "7"); no name holds the table
+                rows = _table_rows(list(_int_block(block, sep, (pos["user"], pos["item"])).T),
+                                   pos, min_rating, timed)
             except ValueError:
                 try:
                     rows = _interaction_table(block, pos, sep, min_rating, timed)
@@ -650,10 +646,7 @@ def leave_one_out_split(data: InteractionSet, n_negatives: int = 100, seed: int 
     for idx, u in enumerate(users):
         row = data.items_of(u)
         ts = data.timestamps_of(u)
-        if ts is not None:
-            held = row[int(np.argmax(ts))]
-        else:
-            held = row[int(rng.integers(row.size))]
+        held = row[int(np.argmax(ts)) if ts is not None else int(rng.integers(row.size))]
         holdout[idx] = held
 
         blocked = held if allow_seen_negatives else row   # row includes the holdout
@@ -780,6 +773,16 @@ def save_leave_one_out(out_dir, split: LeaveOneOutSplit) -> None:
     _write_table(out / "test_negatives.csv", np.column_stack((split.users, split.negatives)))
 
 
+def _split_train(train_rows: np.ndarray, *tables: np.ndarray) -> InteractionSet:
+    """The pairs of train_rows over the vocabulary of a split dir: one more
+    than the largest user id (column 0) and item id (the other columns) in
+    train_rows and in the tables of the dir's other files, empty ones too."""
+    tables = (train_rows, *tables)
+    return InteractionSet.from_pairs(
+        *train_rows.T, num_users=1 + max(int(t[:, 0].max(initial=-1)) for t in tables),
+        num_items=1 + max(int(t[:, 1:].max(initial=-1)) for t in tables))
+
+
 def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | None,
                                                    StrongGeneralizationSplit]:
     """Load a strong-generalization split directory verbatim.
@@ -818,14 +821,7 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
         elif part == "test" or len(missing) == 1:
             raise InputError(f"{d}: missing {' and '.join(missing)}")
 
-    tables = [train_rows, *chain.from_iterable(parts.values())]
-    max_user = max(int(t[:, 0].max(initial=-1)) for t in tables)
-    max_item = max(int(t[:, 1].max(initial=-1)) for t in tables)
-
-    train = InteractionSet.from_pairs(
-        train_rows[:, 0], train_rows[:, 1],
-        num_users=max_user + 1, num_items=max_item + 1,
-    )
+    train = _split_train(train_rows, *chain.from_iterable(parts.values()))
 
     def build(part) -> StrongGeneralizationSplit:
         fold_in, target = (InteractionSet.from_pairs(
@@ -863,10 +859,5 @@ def load_leave_one_out(split_dir) -> LeaveOneOutSplit:
         raise InputError(f"{d}: holdout and negatives cover different users")
     negatives = neg_rows[by_user, 1:]
 
-    max_user = max(train_rows[:, 0].max(), users.max())
-    max_item = max(train_rows[:, 1].max(), holdout.max(), negatives.max())
-    train = InteractionSet.from_pairs(
-        train_rows[:, 0], train_rows[:, 1],
-        num_users=max_user + 1, num_items=max_item + 1,
-    )
+    train = _split_train(train_rows, holdout_rows, neg_rows)
     return LeaveOneOutSplit(train=train, users=users, holdout=holdout, negatives=negatives)

@@ -50,6 +50,13 @@ class MetricReport:
         return out
 
 
+def _check_vocabulary(model: FactorModel, split) -> None:
+    """DimensionMismatch unless model has the split vocabulary's item count."""
+    if model.num_items != split.train.num_items:
+        raise DimensionMismatch(
+            f"model has {model.num_items} items, split vocabulary {split.train.num_items}")
+
+
 def _discounts(n: int) -> np.ndarray:
     """1/log2(r+1) for ranks 1..n."""
     return np.array([1.0 / math.log2(r + 1) for r in range(1, n + 1)])
@@ -128,9 +135,7 @@ def evaluate_strong_generalization(model: FactorModel, split: StrongGeneralizati
     Fold-in items rank last (the user already has them); metrics are
     computed against the target items and averaged in user order.
     """
-    if model.num_items != split.train.num_items:
-        raise DimensionMismatch(
-            f"model has {model.num_items} items, split vocabulary {split.train.num_items}")
+    _check_vocabulary(model, split)
     hits = _strong_generalization_hits(model, split, hp.resolve(split.train),
                                        max([*recall_ks, *ndcg_ks]))
     return _report(hits, split.users.size, recall_ks, ndcg_ks, keep_per_user)
@@ -164,9 +169,7 @@ def evaluate_sampled(model: FactorModel, split: LeaveOneOutSplit, ks=(10,),
     rank_items, ties going to the lower item index.  HR@k is recall@k with
     the holdout as the one relevant item.
     """
-    if model.num_items != split.train.num_items:
-        raise DimensionMismatch(
-            f"model has {model.num_items} items, split vocabulary {split.train.num_items}")
+    _check_vocabulary(model, split)
     if split.users.size and int(split.users.max()) >= model.num_users:
         raise DimensionMismatch(
             f"split references user {int(split.users.max())} "

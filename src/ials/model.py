@@ -70,13 +70,13 @@ def rank_items(scores: np.ndarray, exclude: np.ndarray | None = None,
     excluded columns last (exclude is a boolean mask that broadcasts
     against scores, e.g. a user's fold-in items), then NaN scores, then
     descending score, then ascending column index.  k truncates each row;
-    None keeps the full order.
+    None keeps the full order.  Ties fall to column order through the
+    sort's stability: np.lexsort keeps equal keys in their input order.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    index = np.broadcast_to(np.arange(scores.shape[-1]), scores.shape)
     excluded = np.broadcast_to(False if exclude is None else exclude, scores.shape)
     # lexsort: the last key is the primary one
-    order = np.lexsort((index, -scores, np.isnan(scores), excluded), axis=-1)
+    order = np.lexsort((-scores, np.isnan(scores), excluded), axis=-1)
     return order[..., :k]
 
 

@@ -207,10 +207,15 @@ def block_side(factors: np.ndarray, G: np.ndarray, alpha0: float,
     return BlockSide(factors, G, alpha0, alpha_G, tuple(blocks))
 
 
+def block_width(hp: Hyperparameters, d: int) -> int:
+    """Coordinate block width of hp's solver over d columns (exact: one block
+    of d): the one reader of hp.solver besides Hyperparameters' validation."""
+    return hp.block_size if hp.solver == "block" else d
+
+
 def solver_side(fixed: np.ndarray, G: np.ndarray, hp: Hyperparameters) -> BlockSide:
-    """block_side of `fixed` for hp's solver: exact iALS is one block as wide as fixed."""
-    width = hp.block_size if hp.solver == "block" else fixed.shape[1]
-    return block_side(fixed, G, hp.alpha0, width)
+    """block_side of `fixed` for hp's solver, block_width wide."""
+    return block_side(fixed, G, hp.alpha0, block_width(hp, fixed.shape[1]))
 
 
 def _woodbury_cheaper(n: int, b: int, passes: int) -> bool:
@@ -603,7 +608,7 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
                        sigma_star=hp.sigma_star, seed=hp.seed)
     lams = penalty_weights(data, hp)
     G_H = gramian(model.item_factors)
-    width = hp.block_size if hp.solver == "block" else hp.dim
+    width = block_width(hp, hp.dim)
     reports: list[LossReport] = []
     for t in range(1, hp.iterations + 1):
         # each half-step's plan, from the factors before either runs

@@ -221,6 +221,38 @@ def strong_generalization_parts(data, n_holdout_users, n_validation_users,
     return tuple(parts)
 
 
+def leave_one_out_draws(data, n_negatives, seed, allow_seen_negatives=False):
+    """Per-user loop reference for the draws of ials.dataset.leave_one_out_split.
+
+    Returns (users, holdout, negatives) as int64 arrays.  Users with at
+    least 2 items take part, ascending; one generator seeded with seed
+    serves them in turn.  A user's holdout is the item at the first of its
+    latest timestamps when data has timestamps, else the item at
+    rng.integers(|I(u)|).  Then rng.choice draws n_negatives without
+    replacement from np.delete of every item index at the user's items,
+    or at the holdout alone with allow_seen_negatives.
+    """
+    rng = np.random.default_rng(seed)
+    every_item = np.arange(data.num_items, dtype=np.int64)
+    users, holdout, negatives = [], [], []
+    for u in range(data.num_users):
+        row = data.user_items[data.user_ptr[u]:data.user_ptr[u + 1]]
+        if row.size < 2:
+            continue
+        if data.timestamps is not None:
+            times = data.timestamps[data.user_ptr[u]:data.user_ptr[u + 1]].tolist()
+            held = int(row[max(range(row.size), key=times.__getitem__)])  # first latest
+        else:
+            held = int(row[int(rng.integers(row.size))])
+        blocked = [held] if allow_seen_negatives else row
+        users.append(u)
+        holdout.append(held)
+        negatives.append(rng.choice(np.delete(every_item, blocked), size=n_negatives,
+                                    replace=False))
+    return (np.array(users, dtype=np.int64), np.array(holdout, dtype=np.int64),
+            np.array(negatives, dtype=np.int64).reshape(len(users), n_negatives))
+
+
 def _open_text(path):
     if str(path).endswith(".gz"):
         return gzip.open(path, "rt", encoding="utf-8")

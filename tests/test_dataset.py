@@ -391,6 +391,33 @@ class TestLeaveOneOutSplit:
             assert held not in split.train.items_of(u)
             assert split.train.items_of(u).size == 1
 
+    @pytest.mark.parametrize("skip_sparse_users", [False, True])
+    @pytest.mark.parametrize("allow_seen_negatives", [False, True])
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_draws_match_the_per_user_loop(self, timed, allow_seen_negatives,
+                                           skip_sparse_users):
+        # byte for byte: the same generator calls in the same order; few
+        # distinct timestamps, so a user's latest one is often tied
+        for seed in range(6):
+            rng = np.random.default_rng(100 + seed)
+            users, items = oracles.random_interactions(rng, 25, 40, min_deg=2, max_deg=9)
+            n_users = 25
+            if skip_sparse_users:   # 2 users with one item and 2 with none, scattered
+                users, items = users + [25, 26], items + [3, 3]
+                n_users = 29
+                users = rng.permutation(n_users)[users]
+            times = rng.integers(0, 3, size=len(users)).astype(float) if timed else None
+            data = InteractionSet.from_pairs(users, items, num_users=n_users, num_items=40,
+                                             timestamps=times)
+            assert (data.user_counts < 2).sum() == 4 * skip_sparse_users
+            split = leave_one_out_split(data, n_negatives=20, seed=seed,
+                                        allow_seen_negatives=allow_seen_negatives,
+                                        skip_sparse_users=skip_sparse_users)
+            expected = oracles.leave_one_out_draws(data, 20, seed, allow_seen_negatives)
+            for got, want in zip((split.users, split.holdout, split.negatives), expected):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_deterministic(self, rng):
         data = make_interactions(rng, n_users=15, n_items=12, min_deg=2, max_deg=5)
         a = leave_one_out_split(data, n_negatives=3, seed=9)

@@ -13,6 +13,8 @@ from ials.dataset import (
     LeaveOneOutSplit,
     StrongGeneralizationSplit,
     leave_one_out_split,
+    load_leave_one_out,
+    load_strong_generalization,
     strong_generalization_split,
 )
 from ials.errors import DimensionMismatch
@@ -454,3 +456,70 @@ class TestMetricReport:
         from ials.metrics import MetricReport
         report = MetricReport(means={"hr@10": 0.5, "ndcg@10": 0.25}, n_users=7)
         assert report.to_json_dict() == {"hr@10": 0.5, "ndcg@10": 0.25, "n_users": 7}
+
+
+STRONG_GEN_BASE = {   # users 0-3 train, 4-5 validation, 6-7 test; items 0-4
+    "train.csv": [(0, 0), (0, 1), (1, 2), (2, 3), (3, 4), (3, 0)],
+    "validation_fold_in.csv": [(4, 0), (5, 1)],
+    "validation_target.csv": [(4, 1), (5, 2)],
+    "test_fold_in.csv": [(6, 0), (7, 2)],
+    "test_target.csv": [(6, 3), (7, 4)],
+}
+
+
+class TestSplitVocabulary:
+    """A split dir's vocabulary is one more than the largest user and item
+    id in any of its files; each evaluator checks a model against it."""
+
+    @staticmethod
+    def _write(path, files):
+        path.mkdir()
+        for name, rows in files.items():
+            (path / name).write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+
+    def test_loo_item_only_among_negatives(self, tmp_path):
+        # the largest user, 3, only in the holdout and negatives files; the
+        # largest item, 9, only among the negatives
+        self._write(tmp_path / "loo", {"train.csv": [(0, 0), (0, 1), (1, 2), (2, 3)],
+                                       "test_holdout.csv": [(0, 2), (3, 1)],
+                                       "test_negatives.csv": [(0, 3, 9), (3, 4, 5)]})
+        split = load_leave_one_out(tmp_path / "loo")
+        assert (split.train.num_users, split.train.num_items) == (4, 10)
+        assert evaluate_sampled(init_model(4, 10, 2, seed=0), split).n_users == 2
+        for num_items in (9, 11):
+            with pytest.raises(DimensionMismatch,
+                               match=f"^model has {num_items} items, split vocabulary 10$"):
+                evaluate_sampled(init_model(4, num_items, 2, seed=0), split)
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    @pytest.mark.parametrize("where, validation", [
+        ("validation_fold_in.csv", "rows"), ("validation_target.csv", "rows"),
+        *[(name, validation) for name in ("test_fold_in.csv", "test_target.csv")
+          for validation in ("rows", "empty", "absent")],
+    ])
+    def test_strong_gen_id_only_in_an_evaluation_file(self, tmp_path, side, where,
+                                                      validation):
+        # user 20 or item 30 occurs in `where` alone: a new user's row, or a
+        # row of one of that part's users
+        files = {name: list(rows) for name, rows in STRONG_GEN_BASE.items()}
+        for name in ("validation_fold_in.csv", "validation_target.csv"):
+            if validation == "empty":
+                files[name] = []
+            elif validation == "absent":
+                del files[name]
+        files[where].append((20, 0) if side == "user" else (files[where][0][0], 30))
+        self._write(tmp_path / "sg", files)
+        val, test = load_strong_generalization(tmp_path / "sg")
+        shape = (21, 5) if side == "user" else (8, 31)
+        assert (test.train.num_users, test.train.num_items) == shape
+        assert (val is None) == (validation == "absent")
+        hp = Hyperparameters(dim=2, alpha0=0.1, lambda_=0.01)
+        parts = [test] if val is None else [val, test]
+        for part in parts:
+            assert part.train is test.train
+            evaluate_strong_generalization(init_model(*shape, 2, seed=0), part, hp)
+            for num_items in (shape[1] - 1, shape[1] + 1):
+                with pytest.raises(DimensionMismatch, match=f"^model has {num_items} items, "
+                                                            f"split vocabulary {shape[1]}$"):
+                    evaluate_strong_generalization(init_model(shape[0], num_items, 2, seed=0),
+                                                   part, hp)

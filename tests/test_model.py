@@ -132,6 +132,19 @@ class TestScoring:
                 np.testing.assert_array_equal(rank_items(scores, exclude=exclude, k=k),
                                               full[:, :k])
 
+    def test_infinities_rank_as_the_oracle(self, rng):
+        # 1-d rows with ties at +-inf and +-0, NaN and exclusion: the sort's
+        # stability alone puts tied columns in index order
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            scores = rng.choice([-np.inf, -1.0, -0.0, 0.0, np.inf, np.nan], size=n)
+            exclude = rng.random(n) < 0.3
+            expected = (oracles.rank_by_score(scores, exclude=np.flatnonzero(exclude))
+                        + oracles.rank_by_score(scores, exclude=np.flatnonzero(~exclude)))
+            assert rank_items(scores, exclude=exclude).tolist() == expected
+            for k in (0, int(rng.integers(0, n)), n):
+                assert rank_items(scores, exclude=exclude, k=k).tolist() == expected[:k]
+
 
 class TestModelFile:
     def test_round_trip_bit_exact(self, rng, tmp_path):
