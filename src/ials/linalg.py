@@ -129,7 +129,7 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if attempt:
             jitter = JITTER_SCALE * np.trace(A) / d if attempt == 1 else jitter * 10.0
             Aj = A.copy()
-            Aj.flat[:: d + 1] += jitter
+            Aj.ravel()[:: d + 1] += jitter
         try:
             L = cholesky(Aj)
         except LinAlgError:

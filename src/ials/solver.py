@@ -170,7 +170,7 @@ def solve_entity(history: np.ndarray, alpha_G: np.ndarray, lambda_entity: float,
     """
     A = history.T @ history
     A += alpha_G
-    A.flat[:: A.shape[0] + 1] += lambda_entity
+    A.ravel()[:: A.shape[0] + 1] += lambda_entity
     return solve_spd(A, history.sum(axis=0) if rhs is None else rhs)
 
 
@@ -178,33 +178,40 @@ def solve_entity(history: np.ndarray, alpha_G: np.ndarray, lambda_entity: float,
 class BlockSide:
     """The fixed side of half-steps and fold-ins, prepared once for all entities.
 
-    factors are the fixed-side rows, G their Gramian and alpha_G = alpha0 * G
-    (the block passes use alpha0 * (G @ x), which rounds unlike alpha_G @ x).
-    blocks holds, for each coordinate block B, (B, lam, Q, factors[:, B] @ Q)
-    with alpha_G[B, B] = Q diag(lam) Q'.  blocks is empty when one block
-    covers all d coordinates: the exact solve.
+    factors are the fixed-side rows and G their Gramian (the block passes
+    use alpha0 * (G @ x), which rounds unlike (alpha0 * G) @ x).  blocks
+    holds, for each coordinate block B, every array a block step reads,
+    each contiguous: (B, lam, Q, factors[:, B] @ Q, alpha0 * G[B, B],
+    G[B.stop:, B]) with alpha0 * G[B, B] = Q diag(lam) Q'.  blocks is empty
+    when one block covers all d coordinates, the exact solve, which alone
+    keeps the full alpha_G = alpha0 * G (None otherwise).
     """
 
     factors: np.ndarray
     G: np.ndarray
     alpha0: float
-    alpha_G: np.ndarray
+    alpha_G: np.ndarray | None
     blocks: tuple
 
 
 def block_side(factors: np.ndarray, G: np.ndarray, alpha0: float,
                block_size: int) -> BlockSide:
-    """One eigh per coordinate block of alpha0 * G and the fixed side rotated into it."""
+    """One eigh per coordinate block of alpha0 * G and the fixed side rotated into it.
+
+    The eighs all run under one blas_threads(1): threads only contend for a
+    b x b eigh, and after a fork each thread-count change restarts the
+    OpenBLAS pool.  The rotations stay threaded.
+    """
     d = G.shape[0]
-    alpha_G = alpha0 * G
     if block_size >= d:
-        return BlockSide(factors, G, alpha0, alpha_G, ())
-    blocks = []
-    for start in range(0, d, block_size):
-        B = slice(start, min(start + block_size, d))
-        lam, Q = np.linalg.eigh(alpha_G[B, B])
-        blocks.append((B, lam, Q, factors[:, B] @ Q))
-    return BlockSide(factors, G, alpha0, alpha_G, tuple(blocks))
+        return BlockSide(factors, G, alpha0, alpha0 * G, ())
+    spans = [slice(start, min(start + block_size, d)) for start in range(0, d, block_size)]
+    alpha_G = [alpha0 * G[B, B] for B in spans]
+    with blas_threads(1):
+        eighs = [np.linalg.eigh(block) for block in alpha_G]
+    return BlockSide(factors, G, alpha0, None, tuple(
+        (B, lam, Q, factors[:, B] @ Q, block, np.ascontiguousarray(G[B.stop:, B]))
+        for B, block, (lam, Q) in zip(spans, alpha_G, eighs)))
 
 
 def block_width(hp: Hyperparameters, d: int) -> int:
@@ -254,10 +261,11 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
     solve_factored and form g afresh (d*d), so P passes cost
     O(n*d*b + d*b*b + P*(n*d + d*d)).
     A block is solved in the interaction space when that takes fewer flops
-    (_woodbury_cheaper, about n < b): with D = lam + lambda_entity and
-    S = history[:, B] @ Q @ D^-1/2, Woodbury factors the n x n I + S S'
-    instead of the b x b block.  It falls back to the b x b factor when
-    min(D) is tiny against max(D), where D^-1 would magnify rounding.
+    (_woodbury_cheaper, about n < b, asked once per block width): with
+    D = lam + lambda_entity and S = history[:, B] @ Q @ D^-1/2, Woodbury
+    factors the n x n I + S S' instead of the b x b block.  It falls back
+    to the b x b factor when min(D) is tiny against max(D), where D^-1
+    would magnify rounding.
 
     Raises:
         InputError: current or g is not a vector of length d.
@@ -276,40 +284,46 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
         return x, 1.0 - history @ x
     x = np.array(current, dtype=np.float64, copy=True)
     g = None if g is None else np.array(g, dtype=np.float64, copy=True)
-    # per block: the Cholesky factor, and (S, D^-1/2) on the n x n path
-    chol = [None] * len(side.blocks)
-    woodbury = [None] * len(side.blocks)
+    cheaper = {}   # block width -> _woodbury_cheaper(n, width, passes)
+    # per block: (Cholesky factor, S, D^-1/2), S None off the n x n path
+    cache = [None] * len(side.blocks)
     for _ in range(passes):
         r = 1.0 - history @ x
         if g is None:
             g = side.alpha0 * (side.G @ x)
-        for k, (B, lam, Q, rotated) in enumerate(side.blocks):
+        for k, (B, lam, Q, rotated, alpha_G, below) in enumerate(side.blocks):
             h = history[:, B]
             rhs = h.T @ r - g[B] - lambda_entity * x[B]
-            if chol[k] is None:
-                D = lam + lambda_entity
-                if (_woodbury_cheaper(n, lam.size, passes)
-                        and D.min() > _WOODBURY_MIN_RATIO * D.max()):
-                    scale = 1.0 / np.sqrt(D)
-                    woodbury[k] = rotated[partners] * scale, scale
-            if woodbury[k] is not None:
-                S, scale = woodbury[k]
+            if cache[k] is None:   # first pass: choose the block's path
+                b = lam.size
+                if b not in cheaper:
+                    cheaper[b] = _woodbury_cheaper(n, b, passes)
+                # eigh's lam ascend, so D = lam + lambda_entity has min(D) first
+                if (cheaper[b] and lam[0] + lambda_entity
+                        > _WOODBURY_MIN_RATIO * (lam[-1] + lambda_entity)):
+                    scale = 1.0 / np.sqrt(lam + lambda_entity)
+                    cache[k] = None, rotated[partners] * scale, scale
+                else:
+                    cache[k] = None, None, None
+            L, S, scale = cache[k]
+            if S is not None:
                 u = (Q.T @ rhs) * scale
                 rhs = S @ u
-            if chol[k] is not None:
-                delta = solve_factored(chol[k], rhs)
-            elif woodbury[k] is None:
-                delta, chol[k] = solve_entity(h, side.alpha_G[B, B], lambda_entity, rhs)
+            if L is not None:
+                delta = solve_factored(L, rhs)
+            elif S is None:
+                delta, L = solve_entity(h, alpha_G, lambda_entity, rhs)
             else:
                 A = S @ S.T
-                A.flat[:: n + 1] += 1.0
-                delta, chol[k] = solve_spd(A, rhs)
-            if woodbury[k] is not None:
+                A.ravel()[:: n + 1] += 1.0
+                delta, L = solve_spd(A, rhs)
+            if S is not None:
                 delta = Q @ ((u - S.T @ delta) * scale)
+            cache[k] = L, S, scale
             x[B] += delta
             r -= h @ delta
             if B.stop < d:
-                g[B.stop:] += side.alpha0 * (side.G[B.stop:, B] @ delta)
+                g[B.stop:] += side.alpha0 * (below @ delta)
         g = None   # stale after the pass: the next one forms it from x
     return x, 1.0 - history @ x
 
@@ -597,9 +611,10 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
     The observer, when given, is called after every iteration as
     observer(iteration, LossReport, metrics, phases): metrics is eval_fn's
     result (eval_fn takes the current model) or None, and phases holds the
-    wall seconds of the user half-step, the item half-step and eval_fn
-    (t_users, t_items, t_eval) and the processes the larger half-step is
-    split across (workers).
+    wall seconds of the user half-step, the item half-step, the loss (the
+    Gramian of H and the report) and eval_fn (t_users, t_items, t_loss,
+    t_eval) and the processes the larger half-step is split across
+    (workers).
 
     Returns the trained model and the per-iteration loss reports.
     """
@@ -621,8 +636,10 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
         started = time.perf_counter()
         loss_s = update_items(model, data, hp, lams=lams[1], G=G_W)
         t_items = time.perf_counter() - started
+        started = time.perf_counter()
         G_H = gramian(model.item_factors)
         report = _loss_report(t, loss_s, G_W, G_H, model, lams, hp.alpha0)
+        t_loss = time.perf_counter() - started
         del G_W   # dead until the next iteration forms it: free it before eval_fn
         reports.append(report)
         started = time.perf_counter()
@@ -630,5 +647,6 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
         t_eval = time.perf_counter() - started
         if observer is not None:
             observer(t, report, metrics, {"t_users": t_users, "t_items": t_items,
-                                          "t_eval": t_eval, "workers": workers})
+                                          "t_loss": t_loss, "t_eval": t_eval,
+                                          "workers": workers})
     return model, reports

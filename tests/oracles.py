@@ -4,7 +4,8 @@ Everything here trades efficiency for obviousness: dense matrices,
 explicit loops over every user-item pair, rank-by-rank metric evaluation,
 text files read and written one line at a time.  None of it imports
 solver/metrics internals beyond plain data types and the Cholesky solve
-primitive.
+primitives, except solve_entity_block: the block step as it was before
+its per-block side arrays, kept to pin the faster step byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from scipy.linalg import cho_solve, cholesky
 
 from ials.dataset import EmptyDataset, InteractionSet, ParseError
 from ials.errors import InputError
-from ials.linalg import solve_spd
+from ials.linalg import solve_factored, solve_spd
+from ials.solver import _WOODBURY_MIN_RATIO, _woodbury_cheaper, solve_entity
 
 
 def rating_weight(count, other_side_size, alpha0, nu, lam):
@@ -107,6 +109,67 @@ def block_pass(current, history, G, alpha0, lambda_entity, block_size, g=None):
         r -= h @ delta
         g += alpha0 * (G[:, B] @ delta)
     return x
+
+
+def solve_entity_block(current: np.ndarray, partners, side,
+                       lambda_entity: float, passes: int = 1, g: np.ndarray | None = None,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The block step before each block kept its own side arrays: the path
+    ials.solver.solve_entity_block replaces, with the same arguments and
+    results.  It runs the flop model and D.min() / D.max() on every block's
+    first pass, keeps the Cholesky and Woodbury caches apart, and reads
+    alpha0 * G[B, B] and G[B.stop:, B] through strided views of G.
+    """
+    d = side.G.shape[0]
+    if np.shape(current) != (d,):
+        raise InputError(f"current has shape {np.shape(current)}, expected ({d},)")
+    if g is not None and np.shape(g) != (d,):
+        raise InputError(f"g has shape {np.shape(g)}, expected ({d},)")
+    history = side.factors[partners]
+    n = history.shape[0]
+    if n == 0:
+        return np.zeros(d), np.empty(0)
+    if not side.blocks:
+        x = solve_entity(history, side.alpha_G, lambda_entity)[0]
+        return x, 1.0 - history @ x
+    x = np.array(current, dtype=np.float64, copy=True)
+    g = None if g is None else np.array(g, dtype=np.float64, copy=True)
+    # per block: the Cholesky factor, and (S, D^-1/2) on the n x n path
+    chol = [None] * len(side.blocks)
+    woodbury = [None] * len(side.blocks)
+    for _ in range(passes):
+        r = 1.0 - history @ x
+        if g is None:
+            g = side.alpha0 * (side.G @ x)
+        for k, (B, lam, Q, rotated, *_) in enumerate(side.blocks):
+            h = history[:, B]
+            rhs = h.T @ r - g[B] - lambda_entity * x[B]
+            if chol[k] is None:
+                D = lam + lambda_entity
+                if (_woodbury_cheaper(n, lam.size, passes)
+                        and D.min() > _WOODBURY_MIN_RATIO * D.max()):
+                    scale = 1.0 / np.sqrt(D)
+                    woodbury[k] = rotated[partners] * scale, scale
+            if woodbury[k] is not None:
+                S, scale = woodbury[k]
+                u = (Q.T @ rhs) * scale
+                rhs = S @ u
+            if chol[k] is not None:
+                delta = solve_factored(chol[k], rhs)
+            elif woodbury[k] is None:
+                delta, chol[k] = solve_entity(h, side.alpha0 * side.G[B, B], lambda_entity, rhs)
+            else:
+                A = S @ S.T
+                A.flat[:: n + 1] += 1.0
+                delta, chol[k] = solve_spd(A, rhs)
+            if woodbury[k] is not None:
+                delta = Q @ ((u - S.T @ delta) * scale)
+            x[B] += delta
+            r -= h @ delta
+            if B.stop < d:
+                g[B.stop:] += side.alpha0 * (side.G[B.stop:, B] @ delta)
+        g = None   # stale after the pass: the next one forms it from x
+    return x, 1.0 - history @ x
 
 
 def implicit_loss_double_loop(W, H, alpha0) -> float:

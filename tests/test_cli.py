@@ -146,7 +146,7 @@ class TestTrainCommand:
         assert [r["iteration"] for r in records] == [1, 2, 3]
         for r in records:
             assert r["L"] == pytest.approx(r["L_S"] + r["L_I"] + r["R"], rel=1e-12)
-            assert min(r["t_users"], r["t_items"]) >= 0.0 and r["t_eval"] > 0.0
+            assert min(r["t_users"], r["t_items"], r["t_loss"]) >= 0.0 and r["t_eval"] > 0.0
             assert r["workers"] >= 1
             assert set(r["validation"]) == {"recall@3", "ndcg@4", "n_users"}
             assert r["validation"]["n_users"] == 3

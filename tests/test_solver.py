@@ -319,7 +319,7 @@ class TestBlockKernel:
         monkeypatch.setattr(ials.solver, "solve_spd", spy)
         return sizes
 
-    @pytest.mark.parametrize("d,b,n,m,alpha0,lam,passes,path", [
+    CASES = [
         (12, 4, 30, 40, 0.3, 0.05, 1, "cholesky"),   # n >= b
         (12, 4, 30, 40, 0.3, 0.05, 8, "cholesky"),
         (48, 16, 5, 40, 0.3, 0.05, 1, "woodbury"),   # n < b/2
@@ -332,7 +332,9 @@ class TestBlockKernel:
         (48, 16, 5, 40, 0.0, 0.0, 2, "cholesky"),    # alpha0 = lambda = 0: D = 0
         (48, 16, 0, 40, 0.3, 0.05, 2, "cholesky"),   # n = 0: 0 without a solve
         (40, 16, 3, 40, 0.3, 0.05, 1, "woodbury"),   # last block of 8
-    ])
+    ]
+
+    @pytest.mark.parametrize("d,b,n,m,alpha0,lam,passes,path", CASES)
     def test_matches_oracle_passes(self, rng, monkeypatch, d, b, n, m, alpha0, lam,
                                    passes, path):
         sizes = self.spy_sizes(monkeypatch)
@@ -360,6 +362,40 @@ class TestBlockKernel:
                 assert np.abs(got - ref).max() <= 1e-10 * scale
         block_sizes = [min(b, d - start) for start in range(0, d, b)] if n else []
         assert sizes == (block_sizes if path == "cholesky" else [n] * len(block_sizes)) * 3
+
+    @pytest.mark.parametrize("d,b,n,m,alpha0,lam,passes,path", CASES)
+    def test_matches_previous_step_bytewise(self, rng, d, b, n, m, alpha0, lam, passes,
+                                            path):
+        # the step with per-block side arrays against the one it replaced,
+        # from the first pass's own g and from a handed-in start g
+        for _ in range(3):
+            H = rng.standard_normal((max(m, n), d)) * (0.5 / np.sqrt(d))
+            G = gramian(H[:m])
+            partners = rng.choice(H.shape[0], size=n, replace=False)
+            current = rng.standard_normal(d)
+            side = block_side(H, G, alpha0, b)
+            for g in (None, alpha0 * (G @ current)):
+                got = solve_entity_block(current, partners, side, lam, passes, g=g)
+                want = oracles.solve_entity_block(current, partners, side, lam, passes, g=g)
+                for a, w in zip(got, want):
+                    assert a.dtype == w.dtype and a.shape == w.shape
+                    assert a.tobytes() == w.tobytes()
+
+    def test_ragged_last_block_takes_its_own_path(self, rng, monkeypatch):
+        # two 16-wide blocks in the n x n space, the last 8-wide one as b x b
+        d, b, n = 40, 16, 5
+        assert ials.solver._woodbury_cheaper(n, b, 1)
+        assert not ials.solver._woodbury_cheaper(n, d % b, 1)
+        sizes = self.spy_sizes(monkeypatch)
+        H = rng.standard_normal((40, d)) * (0.5 / np.sqrt(d))
+        G = gramian(H)
+        partners = rng.choice(40, size=n, replace=False)
+        current = rng.standard_normal(d)
+        got = solve_entity_block(current, partners, block_side(H, G, 0.3, b), 0.05)[0]
+        assert sizes == [n, n, d % b]
+        dense = oracles.block_pass_dense(current, H[partners], G, 0.3, 0.05, b)
+        scale = max(np.abs(dense).max(), np.abs(current).max())
+        assert np.abs(got - dense).max() <= 1e-10 * scale
 
     @pytest.mark.usefixtures("one_process")
     def test_fold_in_factors_each_block_once(self, rng, monkeypatch):
@@ -1073,14 +1109,41 @@ class TestBlasPinning:
             during.append([get() for get, _ in controls])
             return kernel(*args, **kw)
 
-        monkeypatch.setattr(ials.solver, "blas_threads", spy_pin)
-        monkeypatch.setattr(ials.solver, "solve_entity_block", spy_kernel)
         H = rng.standard_normal((10, 4))
         hp = hp_direct(dim=4, solver=solver, block_size=2)
-        side = ials.solver.solver_side(H, gramian(H), hp)
+        side = ials.solver.solver_side(H, gramian(H), hp)   # pins for its eighs
+        monkeypatch.setattr(ials.solver, "blas_threads", spy_pin)
+        monkeypatch.setattr(ials.solver, "solve_entity_block", spy_kernel)
         project_user(*csr([np.array([0, 1]), np.array([2, 3, 4]), np.array([5])]), side, hp)
         assert pins == [1]
         assert during == [[1] * len(controls)] * 3
+
+    def test_block_side_runs_every_eigh_on_one_thread(self, rng, monkeypatch):
+        controls = ials.linalg._openblas_thread_controls()
+        pins, during = [], []
+        pin, eigh = ials.solver.blas_threads, np.linalg.eigh
+
+        def spy_pin(n):
+            pins.append(n)
+            return pin(n)
+
+        def spy_eigh(a):
+            during.append([get() for get, _ in controls])
+            return eigh(a)
+
+        monkeypatch.setattr(ials.solver, "blas_threads", spy_pin)
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        H = rng.standard_normal((30, 10))
+        with ials.linalg.blas_threads(2):   # counts that the pin must restore
+            outside = [get() for get, _ in controls]
+            for block_size, blocks in ((4, 3), (3, 4), (10, 0)):   # 10: exact, no eigh
+                pins.clear()
+                during.clear()
+                side = block_side(H, gramian(H), 0.1, block_size)
+                assert len(side.blocks) == blocks
+                assert pins == ([1] if blocks else [])
+                assert during == [[1] * len(controls)] * blocks
+                assert [get() for get, _ in controls] == outside
 
 
 class TestTrain:
@@ -1111,8 +1174,8 @@ class TestTrain:
         assert [s[1] for s in seen] == [r.L for r in reports]
         assert all(s[2] is None for s in seen)
         for *_, phases in seen:
-            assert set(phases) == {"t_users", "t_items", "t_eval", "workers"}
-            assert all(phases[k] >= 0.0 for k in ("t_users", "t_items", "t_eval"))
+            assert set(phases) == {"t_users", "t_items", "t_loss", "t_eval", "workers"}
+            assert all(phases[k] >= 0.0 for k in ("t_users", "t_items", "t_loss", "t_eval"))
             assert phases["workers"] == 1   # 8 users and 6 items: below the work floor
 
     def test_eval_fn_passed_to_observer(self, small_data):
