@@ -756,21 +756,23 @@ def write_id_maps(out_dir, data: InteractionSet) -> None:
                      np.column_stack((np.asarray(ids, dtype=object), np.arange(len(ids)))))
 
 
+def _save_tables(out_dir, names, parts) -> None:
+    """Write parts[k] (an InteractionSet's pairs or a tuple of columns) to out_dir/names[k]."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, part in zip(names, parts, strict=True):
+        columns = part.pairs() if isinstance(part, InteractionSet) else part
+        _write_table(os.path.join(out_dir, name), np.column_stack(columns))
+
+
 def save_strong_generalization(out_dir, validation: StrongGeneralizationSplit,
                                test: StrongGeneralizationSplit) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    out = Path(out_dir)
-    parts = (validation.train, validation.fold_in, validation.target, test.fold_in, test.target)
-    for name, part in zip(STRONG_GEN_FILES, parts):
-        _write_table(out / name, np.column_stack(part.pairs()))
+    _save_tables(out_dir, STRONG_GEN_FILES, (validation.train, validation.fold_in,
+                                             validation.target, test.fold_in, test.target))
 
 
 def save_leave_one_out(out_dir, split: LeaveOneOutSplit) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    out = Path(out_dir)
-    _write_table(out / "train.csv", np.column_stack(split.train.pairs()))
-    _write_table(out / "test_holdout.csv", np.column_stack((split.users, split.holdout)))
-    _write_table(out / "test_negatives.csv", np.column_stack((split.users, split.negatives)))
+    _save_tables(out_dir, LOO_FILES, (split.train, (split.users, split.holdout),
+                                      (split.users, split.negatives)))
 
 
 def _split_train(train_rows: np.ndarray, *tables: np.ndarray) -> InteractionSet:
@@ -800,10 +802,9 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
             test user has both fold-in and target items.
     """
     d = Path(split_dir)
-    train_rows = _read_int_table(d / "train.csv", 2)
+    train_rows = _read_int_table(d / STRONG_GEN_FILES[0], 2)
     parts = {}
-    for part in ("validation", "test"):
-        names = (f"{part}_fold_in.csv", f"{part}_target.csv")
+    for part, names in (("validation", STRONG_GEN_FILES[1:3]), ("test", STRONG_GEN_FILES[3:])):
         missing = [name for name in names if not (d / name).exists()]
         if not missing:
             # no validation users leave the validation files empty
@@ -844,11 +845,9 @@ def load_strong_generalization(split_dir) -> tuple[StrongGeneralizationSplit | N
 def load_leave_one_out(split_dir) -> LeaveOneOutSplit:
     """Load a leave-one-out split directory verbatim."""
     d = Path(split_dir)
-    train_rows = _read_int_table(d / "train.csv", 2)
-    holdout_rows = _read_int_table(d / "test_holdout.csv", 2)
-    neg_rows = _read_int_table(d / "test_negatives.csv")
-
-    for name, rows in (("test_holdout.csv", holdout_rows), ("test_negatives.csv", neg_rows)):
+    train_rows, holdout_rows, neg_rows = (_read_int_table(d / name, width)
+                                          for name, width in zip(LOO_FILES, (2, 2, None)))
+    for name, rows in zip(LOO_FILES[1:], (holdout_rows, neg_rows)):
         users, counts = np.unique(rows[:, 0], return_counts=True)
         if (counts > 1).any():
             raise InputError(f"{d / name}: user {users[counts > 1][0]} has more than one row")

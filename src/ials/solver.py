@@ -347,16 +347,18 @@ def _cpus() -> int:
 
 def _plan(factors: np.ndarray, ptr: np.ndarray, width: int, passes: int,
           ) -> tuple[list, int]:
-    """(chunks, processes) of _update_side: one process per _FORK_WORK of
-    estimated work, from 1 to the CPUs; one process takes one chunk.
+    """(chunks, processes) of _update_side: the (first, stop) chunks of rows
+    solved, and one process per _FORK_WORK of estimated work, from 1 to the
+    CPUs and the chunks.
 
     Row e with m = ptr[e + 1] - ptr[e] partners costs m*d*b + d*b*b/3 (its
     b = width wide block factors), 6*d*(2*m + d) per pass and _CALL_WORK
     per solve and block pass; an exact solve is one pass over one block.
-    Where no cut can change a bit (exact solves form no start; zero starts,
-    as in fold-in, give zeros @ G = 0) there are 8 chunks per process of
-    about equal work; otherwise the chunks are the start chunks of
-    _START_CHUNK_FLOATS // d rows, and the processes no more than they.
+    Rows are cut at 8 equal shares of work per process, empty chunks
+    dropped.  A block side forms one start product per chunk, so it also
+    cuts at every start cell of _START_CHUNK_FLOATS // d rows, and from
+    nonzero factors at the cells alone: their starts round alike on any
+    count (zero starts, as in fold-in, are zeros @ G = 0 however cut).
     """
     n, d = factors.shape
     b = min(width, d)
@@ -366,48 +368,22 @@ def _plan(factors: np.ndarray, ptr: np.ndarray, width: int, passes: int,
     per_row = d * b * b / 3 + 6 * passes * d * d + _CALL_WORK * (1 + passes * blocks)
     work = per_partner * (ptr[-1] - ptr[0]) + per_row * n
     procs = int(max(1, min(_cpus(), work // _FORK_WORK)))
-    if procs == 1:   # _solve_rows still forms starts by start chunk
-        return [(0, n)], 1
-    if blocks > 1 and factors.any():
-        firsts = list(range(0, n, max(1, _START_CHUNK_FLOATS // d)))
-        procs = min(procs, len(firsts))
-    else:   # cut where the work of the rows before reaches each share
+    firsts = set()
+    if blocks > 1:
+        firsts.update(range(0, n, max(1, _START_CHUNK_FLOATS // d)))
+    if blocks == 1 or not factors.any():
         before = per_partner * (ptr[:-1] - ptr[0]) + per_row * np.arange(n)
         cuts = np.arange(8 * procs) * (work / (8 * procs))
-        firsts = np.unique(np.searchsorted(before, cuts)).tolist()
-    return list(zip(firsts, firsts[1:] + [n])), procs
-
-
-def _solve_rows(factors: np.ndarray, loss: np.ndarray, chunks, side: BlockSide,
-                ptr: np.ndarray, partners: np.ndarray, lams: np.ndarray,
-                passes: int) -> None:
-    """Re-solve every row e of the (first, stop) chunks in place, in order,
-    and store its r @ r in loss[e].
-
-    Row e is solved from its current value against partners[ptr[e]:ptr[e + 1]]
-    with L2 weight lams[e].  The block solver's start g = alpha0 * x @ G
-    comes from one matrix product per _START_CHUNK_FLOATS // d rows of a
-    chunk, from its first row, formed when they are reached; the exact
-    solve needs none.
-    """
-    step = max(1, _START_CHUNK_FLOATS // side.G.shape[0])
-    for first, stop in [(a, min(a + step, end)) for start, end in chunks
-                        for a in range(start, end, step)]:
-        if side.blocks:
-            starts = factors[first:stop] @ side.G
-            starts *= side.alpha0
-        else:
-            starts = [None] * (stop - first)
-        for e, g in zip(range(first, stop), starts):
-            factors[e], r = solve_entity_block(factors[e], partners[ptr[e]:ptr[e + 1]],
-                                               side, lams[e], passes, g=g)
-            loss[e] = r @ r
+        firsts.update(np.searchsorted(before, cuts).tolist())
+    firsts = sorted(first for first in firsts if first < n) or [0]
+    chunks = list(zip(firsts, firsts[1:] + [n]))
+    return chunks, min(procs, len(chunks))
 
 
 def _solve_forked(factors: np.ndarray, loss: np.ndarray, chunks: list, procs: int,
                   solve) -> None:
-    """solve(share) (a _solve_rows into factors and loss) for procs shares
-    of chunks, one per process.
+    """solve(share), which solves the share's rows into factors and loss,
+    for procs shares of chunks, one per process.
 
     Chunk c goes to process c mod procs, so Zipf-skewed rows spread
     evenly.  This process solves share 0 (all of chunks when procs is 1:
@@ -484,8 +460,9 @@ def _update_side(factors: np.ndarray, side: BlockSide, ptr: np.ndarray,
     half-steps and fold-in.
 
     Row e is solved against partners[ptr[e]:ptr[e + 1]] with L2 weight
-    lams[e], by `passes` block passes from its current value (_solve_rows),
-    in _plan's chunks and processes (_solve_forked): same bits on any count.
+    lams[e], by `passes` block passes from its current value, in _plan's
+    chunks and processes (_solve_forked): same bits on any count.  A block
+    side's starts g = alpha0 * x @ G come from one product per chunk.
     Returns L_S, the sum of (1 - score)^2 over observed pairs with the
     updated factors, from the residuals each entity's solve returns.
 
@@ -497,7 +474,16 @@ def _update_side(factors: np.ndarray, side: BlockSide, ptr: np.ndarray,
     loss = np.empty(n)
 
     def solve(share):
-        _solve_rows(factors, loss, share, side, ptr, partners, lams, passes)
+        for first, stop in share:
+            if side.blocks:
+                starts = factors[first:stop] @ side.G
+                starts *= side.alpha0
+            else:
+                starts = [None] * (stop - first)
+            for e, g in zip(range(first, stop), starts):
+                factors[e], r = solve_entity_block(factors[e], partners[ptr[e]:ptr[e + 1]],
+                                                   side, lams[e], passes, g=g)
+                loss[e] = r @ r
 
     with blas_threads(1):
         _solve_forked(factors, loss, chunks, procs, solve)

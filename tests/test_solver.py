@@ -4,9 +4,12 @@ import signal
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ials.linalg
 import ials.solver
@@ -1009,6 +1012,52 @@ class TestWorkPlan:
         chunks, _ = ials.solver._plan(factors, ptr, 3, 4)
         assert chunks[0] == (0, 1) and chunks[-1][1] == 160
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+
+    @pytest.mark.usefixtures("no_floor")
+    def test_heavy_last_row_takes_no_empty_chunk(self, monkeypatch):
+        # rows 0-2 hold less than one share of the work, so every cut past
+        # the first falls after the last row: none makes a chunk or a process
+        monkeypatch.setattr(ials.solver, "_cpus", lambda: 2)
+        plan = ials.solver._plan(np.zeros((4, 8)), np.array([0, 1, 2, 3, 10 ** 6]), 8, 1)
+        assert plan == ([(0, 4)], 1)
+
+    @pytest.mark.usefixtures("no_floor")
+    @pytest.mark.parametrize("solver", ["exact", "block"])
+    def test_one_row_forks_no_worker(self, rng, monkeypatch, forks, solver):
+        # a one-user fold-in: its row holds all the work, one chunk
+        H = rng.standard_normal((30, self.D)) * 0.1
+        hp = hp_direct(dim=self.D, solver=solver, block_size=3, projection_repeats=4)
+        side = ials.solver.solver_side(H, gramian(H), hp)
+        items = csr([rng.choice(30, 9, replace=False)])
+        runs = [self.run_on(monkeypatch, cpus, lambda: project_user(*items, side, hp).tobytes())
+                for cpus in (1, 2)]
+        assert runs[0] == runs[1]
+        assert forks == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(degrees=st.lists(st.integers(0, 50), max_size=300), d=st.integers(1, 40),
+           width=st.integers(1, 50), passes=st.integers(1, 8), cpus=st.integers(1, 4),
+           nonzero=st.booleans(), fork_work=st.sampled_from([1.0, 1e6, 2e8]),
+           cell_floats=st.one_of(st.integers(1, 256), st.just(2 ** 15)))
+    def test_plan_tiles_the_rows(self, degrees, d, width, passes, cpus, nonzero, fork_work,
+                                 cell_floats):
+        n = len(degrees)
+        factors = np.zeros((n, d))
+        if nonzero and n:
+            factors[-1, -1] = 1.0
+        ptr = np.cumsum([7, *degrees])   # a CSR slice need not start at 0
+        with mock.patch.multiple(ials.solver, _cpus=lambda: cpus, _FORK_WORK=fork_work,
+                                 _START_CHUNK_FLOATS=cell_floats):
+            chunks, procs = ials.solver._plan(factors, ptr, width, passes)
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert n == 0 or all(first < stop for first, stop in chunks)
+        assert 1 <= procs <= min(cpus, len(chunks))
+        if width < d and n:   # a block side: its start products stay within a cell
+            step = max(1, cell_floats // d)
+            assert all(first // step == (stop - 1) // step for first, stop in chunks)
+            if nonzero:
+                assert chunks == [(a, min(a + step, n)) for a in range(0, n, step)]
 
     def test_block_width_is_the_width_of_the_solver_side(self):
         # the width train plans with is the one solver_side cuts blocks by
