@@ -471,10 +471,7 @@ def main(argv=None) -> int:
     except (InputError, MemoryError) as exc:   # MemoryError: a size too large to allocate
         log.error("%s", exc)
         return 2
-    except IalsError as exc:
-        log.error("%s", exc)
-        return 1
-    except OSError as exc:
+    except (IalsError, OSError) as exc:
         log.error("%s", exc)
         return 1
 

@@ -218,6 +218,9 @@ def _parse_columns(columns: str) -> dict[str, int]:
     if bad:
         raise InputError(f"unknown column names {bad}; valid: {sorted(_COLUMN_NAMES)}")
     pos = {name: idx for idx, name in enumerate(names) if name != "skip"}
+    repeated = sorted(name for name in pos if names.count(name) > 1)
+    if repeated:
+        raise InputError(f"column names given more than once: {repeated}")
     if "user" not in pos or "item" not in pos:
         raise InputError("column list must include 'user' and 'item'")
     return pos
@@ -463,11 +466,12 @@ def load_interactions(path, *, delimiter: str | None = None,
             comma otherwise.  Multi-character separators (e.g. "::") work.
             Ids are compared as text: "007" and "7" are two ids.
         columns: comma-separated positional names out of
-            user,item,rating,time,skip.
-        min_rating: when set, rows with rating < min_rating are dropped
-            (binarization threshold); default keeps every row as a positive.
+            user,item,rating,time,skip; only skip may repeat.
+        min_rating: when set (not NaN), rows with rating < min_rating are
+            dropped (binarization threshold); default keeps every row.
 
     Raises:
+        InputError: bad delimiter, column list or min_rating.
         ParseError: malformed row (with its line number).
         EmptyDataset: nothing survived filtering.
     """
@@ -476,6 +480,8 @@ def load_interactions(path, *, delimiter: str | None = None,
         delimiter = "\t" if base.endswith(".tsv") else ","
     if not delimiter or "\n" in delimiter or "\r" in delimiter:
         raise InputError(f"delimiter must be non-empty and on one line, got {delimiter!r}")
+    if min_rating is not None and np.isnan(min_rating):
+        raise InputError("min_rating must not be NaN")
     pos = _parse_columns(columns)
 
     users, items, times = _IdCodes(), _IdCodes(), []

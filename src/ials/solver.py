@@ -214,15 +214,12 @@ def block_side(factors: np.ndarray, G: np.ndarray, alpha0: float,
         for B, block, (lam, Q) in zip(spans, alpha_G, eighs)))
 
 
-def block_width(hp: Hyperparameters, d: int) -> int:
-    """Coordinate block width of hp's solver over d columns (exact: one block
-    of d): the one reader of hp.solver besides Hyperparameters' validation."""
-    return hp.block_size if hp.solver == "block" else d
-
-
 def solver_side(fixed: np.ndarray, G: np.ndarray, hp: Hyperparameters) -> BlockSide:
-    """block_side of `fixed` for hp's solver, block_width wide."""
-    return block_side(fixed, G, hp.alpha0, block_width(hp, fixed.shape[1]))
+    """block_side of `fixed` for hp's solver: blocks of hp.block_size under
+    the block solver, one block of all d columns under the exact one.  The
+    one reader of hp.solver besides Hyperparameters' validation."""
+    d = fixed.shape[1]
+    return block_side(fixed, G, hp.alpha0, hp.block_size if hp.solver == "block" else d)
 
 
 def _woodbury_cheaper(n: int, b: int, passes: int) -> bool:
@@ -455,7 +452,8 @@ def _solve_forked(factors: np.ndarray, loss: np.ndarray, chunks: list, procs: in
 
 
 def _update_side(factors: np.ndarray, side: BlockSide, ptr: np.ndarray,
-                 partners: np.ndarray, lams: np.ndarray, passes: int, what: str) -> float:
+                 partners: np.ndarray, lams: np.ndarray, passes: int, what: str,
+                 ) -> tuple[float, int]:
     """Re-solve every row of `factors` in place: the one entity loop of
     half-steps and fold-in.
 
@@ -463,8 +461,9 @@ def _update_side(factors: np.ndarray, side: BlockSide, ptr: np.ndarray,
     lams[e], by `passes` block passes from its current value, in _plan's
     chunks and processes (_solve_forked): same bits on any count.  A block
     side's starts g = alpha0 * x @ G come from one product per chunk.
-    Returns L_S, the sum of (1 - score)^2 over observed pairs with the
-    updated factors, from the residuals each entity's solve returns.
+    Returns (L_S, processes): the sum of (1 - score)^2 over observed pairs
+    with the updated factors, from the residuals each entity's solve
+    returns, and the count of processes that solved the rows.
 
     Raises IalsError naming `what` if any updated factor is not finite, so
     a NaN or inf never reaches a saved model or a ranking.
@@ -493,26 +492,26 @@ def _update_side(factors: np.ndarray, side: BlockSide, ptr: np.ndarray,
     loss_s = 0.0
     for term in loss.tolist():   # in entity order, one add at a time, as ever
         loss_s += term
-    return loss_s
+    return loss_s, procs
 
 
 def update_users(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
-                 lams: np.ndarray, G: np.ndarray) -> float:
+                 lams: np.ndarray, G: np.ndarray) -> tuple[float, int]:
     """Half-step: re-solve all user embeddings with items fixed (mutates W).
 
     lams are the users' L2 weights (penalty_weights) and G the Gramian of
-    H.  Returns L_S of the updated model (see _update_side).
+    H.  Returns (L_S, processes) of the update, as _update_side does.
     """
     return _update_side(model.user_factors, solver_side(model.item_factors, G, hp),
                         data.user_ptr, data.user_items, lams, 1, "user half-step")
 
 
 def update_items(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
-                 lams: np.ndarray, G: np.ndarray) -> float:
+                 lams: np.ndarray, G: np.ndarray) -> tuple[float, int]:
     """Half-step: re-solve all item embeddings with users fixed (mutates H).
 
     lams are the items' L2 weights (penalty_weights) and G the Gramian of
-    W.  Returns L_S of the updated model (see _update_side).
+    W.  Returns (L_S, processes) of the update, as _update_side does.
     """
     return _update_side(model.item_factors, solver_side(model.user_factors, G, hp),
                         data.item_ptr, data.item_users, lams, 1, "item half-step")
@@ -599,8 +598,8 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
     result (eval_fn takes the current model) or None, and phases holds the
     wall seconds of the user half-step, the item half-step, the loss (the
     Gramian of H and the report) and eval_fn (t_users, t_items, t_loss,
-    t_eval) and the processes the larger half-step is split across
-    (workers).
+    t_eval) and the processes the larger half-step ran on, as the
+    half-steps report it (workers).
 
     Returns the trained model and the per-iteration loss reports.
     """
@@ -609,18 +608,14 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
                        sigma_star=hp.sigma_star, seed=hp.seed)
     lams = penalty_weights(data, hp)
     G_H = gramian(model.item_factors)
-    width = block_width(hp, hp.dim)
     reports: list[LossReport] = []
     for t in range(1, hp.iterations + 1):
-        # each half-step's plan, from the factors before either runs
-        workers = max(_plan(model.user_factors, data.user_ptr, width, 1)[1],
-                      _plan(model.item_factors, data.item_ptr, width, 1)[1])
         started = time.perf_counter()
-        update_users(model, data, hp, lams=lams[0], G=G_H)
+        user_procs = update_users(model, data, hp, lams=lams[0], G=G_H)[1]
         t_users = time.perf_counter() - started
         G_W = gramian(model.user_factors)
         started = time.perf_counter()
-        loss_s = update_items(model, data, hp, lams=lams[1], G=G_W)
+        loss_s, item_procs = update_items(model, data, hp, lams=lams[1], G=G_W)
         t_items = time.perf_counter() - started
         started = time.perf_counter()
         G_H = gramian(model.item_factors)
@@ -634,5 +629,5 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
         if observer is not None:
             observer(t, report, metrics, {"t_users": t_users, "t_items": t_items,
                                           "t_loss": t_loss, "t_eval": t_eval,
-                                          "workers": workers})
+                                          "workers": max(user_procs, item_procs)})
     return model, reports

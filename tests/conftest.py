@@ -40,13 +40,13 @@ def csr(item_lists):
 
 
 def half_step(update, model, data, hp):
-    """update_users or update_items with the inputs train hands it: the L2
-    weights of the side it updates and the Gramian of the fixed side."""
+    """L_S of update_users or update_items with the inputs train hands it:
+    the L2 weights of the side it updates and the Gramian of the fixed side."""
     hp = hp.resolve(data)
     users = update is update_users
     lams = penalty_weights(data, hp)[0 if users else 1]
     G = gramian(model.item_factors if users else model.user_factors)
-    return update(model, data, hp, lams, G)
+    return update(model, data, hp, lams, G)[0]
 
 
 def run_python(script, *args):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import shutil
@@ -12,6 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ials.cli as cli
+import ials.dataset as ds
+import ials.metrics as mt
 from ials.cli import main
 from ials.dataset import LOO_FILES, STRONG_GEN_FILES
 from ials.errors import IalsError
@@ -886,6 +889,12 @@ def _bad_input(case: str, tmp_path, raw_file, trained_splits):
     if case == "--columns rating,time":
         return ([*split, "--protocol", "loo", "--columns", "rating,time"], 2,
                 "column list must include 'user' and 'item'")
+    if case == "--columns user,item,user":
+        return ([*split, "--protocol", "loo", "--columns", "user,item,user"], 2,
+                "column names given more than once: ['user']")
+    if case == "--min-rating nan":
+        return ([*split, "--protocol", "loo", "--min-rating", "nan"], 2,
+                "min_rating must not be NaN")
     if case == "--delimiter ''":
         return ([*split, "--protocol", "loo", "--delimiter", ""], 2,
                 "delimiter must be non-empty and on one line, got ''")
@@ -910,7 +919,8 @@ def _bad_input(case: str, tmp_path, raw_file, trained_splits):
 class TestBadInput:
     @pytest.mark.parametrize("case", [
         "--ndcg-ks 0", "--alpha0-grid ,", "--repeats 0", "sweep without validation users",
-        "unwritable --out", "--columns rating,time", "--delimiter ''", "--holdout-users 0",
+        "unwritable --out", "--columns rating,time", "--columns user,item,user",
+        "--min-rating nan", "--delimiter ''", "--holdout-users 0",
         "--sigma-star -1", "model shape x", "model shape 0", "loo users beyond the model's",
     ])
     def test_exit_code_and_message(self, tmp_path, raw_file, trained_splits, capsys, caplog,
@@ -920,6 +930,36 @@ class TestBadInput:
         assert main(argv) == code
         assert message in caplog.text
         assert "Traceback" not in capsys.readouterr().err + caplog.text
+
+
+class TestDefaultsAgree:
+    """Each CLI default that a library call also states equals the library's."""
+
+    @staticmethod
+    def defaults(fn) -> dict:
+        return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+    def test_split_flags(self):
+        ns = cli.make_parser().parse_args(["split"])
+        load = self.defaults(ds.load_interactions)
+        strong = self.defaults(ds.strong_generalization_split)
+        loo = self.defaults(ds.leave_one_out_split)
+        assert ns.columns == load["columns"]
+        assert ns.fold_in_fraction == strong["fold_in_fraction"]
+        assert ns.min_user_interactions == strong["min_user_interactions"]
+        assert ns.negatives == loo["n_negatives"]
+        assert ns.allow_seen_negatives == loo["allow_seen_negatives"]
+        assert ns.seed == strong["seed"] == loo["seed"]
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    def test_metric_ks(self, command):
+        sampled = self.defaults(mt.evaluate_sampled)
+        strong = self.defaults(mt.evaluate_strong_generalization)
+        parse = cli.make_parser().parse_args
+        loo, sg = (parse([command, "--protocol", protocol]) for protocol in ("loo", "strong-gen"))
+        assert sg.recall_ks == strong["recall_ks"]
+        assert cli._ndcg_ks(loo) == sampled["ks"]
+        assert cli._ndcg_ks(sg) == strong["ndcg_ks"]
 
 
 SWEEP_BASE = ["--dim", "2", "--iterations", "2", "--seed", "1",

@@ -189,6 +189,23 @@ class TestLoadInteractions:
         with pytest.raises(InputError):
             load_interactions(path, columns="user,thing")
 
+    def test_repeated_column_name(self, tmp_path):
+        # a repeated name once meant its last column: here 1 user instead of 3
+        path = self._write(tmp_path, "1,10,5,0\n3,11,5,0\n1,12,5,0\n2,13,5,0\n")
+        with pytest.raises(InputError, match=r"more than once: \['user'\]"):
+            load_interactions(path, columns="user,item,user")
+        data = load_interactions(path, columns="user,item,skip,skip")   # skip may repeat
+        assert data.num_users == 3 and data.num_pairs == 4
+
+    def test_nan_min_rating(self, tmp_path):
+        # no rating compares below NaN, so it once kept every row
+        path = self._write(tmp_path, "a,x,5,1\na,y,2,2\nb,x,4,3\nc,z,1,4\n")
+        with pytest.raises(InputError, match="min_rating must not be NaN"):
+            load_interactions(path, min_rating=float("nan"))
+        assert load_interactions(path, min_rating=-float("inf")).num_pairs == 4
+        with pytest.raises(EmptyDataset):
+            load_interactions(path, min_rating=float("inf"))
+
     def test_duplicate_pairs_merge(self, tmp_path):
         path = self._write(tmp_path, "a,x,5,1\na,x,5,9\nb,x,5,2\n")
         assert load_interactions(path).num_pairs == 2

@@ -1059,17 +1059,14 @@ class TestWorkPlan:
             if nonzero:
                 assert chunks == [(a, min(a + step, n)) for a in range(0, n, step)]
 
-    def test_block_width_is_the_width_of_the_solver_side(self):
-        # the width train plans with is the one solver_side cuts blocks by
+    def test_solver_side_cuts_blocks_of_the_solver_width(self):
+        # block_size under the block solver; one block of d (no blocks) otherwise
         H = np.random.default_rng(0).standard_normal((20, 6))
         for solver, block_size, widths in (("exact", 2, []), ("block", 2, [2, 2, 2]),
                                            ("block", 4, [4, 2]), ("block", 8, [])):
             hp = hp_direct(dim=6, solver=solver, block_size=block_size)
-            width = ials.solver.block_width(hp, 6)
-            assert width == (block_size if solver == "block" else 6)
             side = ials.solver.solver_side(H, gramian(H), hp)
             assert [B.stop - B.start for B, *_ in side.blocks] == widths
-            assert all(w == width for w in widths[:-1])
 
     @pytest.mark.parametrize("floor", [1.0, None])
     def test_workers_are_the_processes_of_the_larger_half_step(self, rng, monkeypatch,
