@@ -162,17 +162,17 @@ def _load_split(ns: argparse.Namespace) -> tuple:
     return None, ds.load_leave_one_out(ns.split_dir)
 
 
-def _score(ns: argparse.Namespace, model, split, hp: Hyperparameters | None = None
-           ) -> mt.MetricReport:
+def _score(ns: argparse.Namespace, model, split, hp: Hyperparameters | None = None,
+           side=None) -> mt.MetricReport:
     """Score model on split under --protocol with the k flags.
 
-    Strong-gen fold-in uses hp, by default the flags' with the model's dim.
+    Strong-gen fold-in uses hp, by default the flags' with the model's dim, and side.
     """
     if ns.protocol == "loo":
         return mt.evaluate_sampled(model, split, ks=_ndcg_ks(ns))
     return mt.evaluate_strong_generalization(
         model, split, hp or _build_hp(ns, dim=model.dim),
-        recall_ks=ns.recall_ks, ndcg_ks=_ndcg_ks(ns))
+        recall_ks=ns.recall_ks, ndcg_ks=_ndcg_ks(ns), side=side)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +255,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
     validation, test = _load_split(ns)
     eval_fn = None
     if ns.log_validation and validation is not None and validation.users.size:
-        def eval_fn(model):
-            return _score(ns, model, validation, hp)
+        def eval_fn(model, side):
+            return _score(ns, model, validation, hp, side)
 
     paths = [_train_one(test.train, hp, out_dir, hp.seed + r, eval_fn=eval_fn)
              for r in range(ns.repeats)]
@@ -325,7 +325,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         if skipped:
             log.warning("inner validation split skips %d user(s) with fewer than "
                         "2 training interactions", skipped)
-    elif validation is None or not validation.users.size:
+    if validation is None or not validation.users.size:
         raise InputError(f"{ns.split_dir} has no validation users to sweep on")
 
     rows = []

@@ -24,7 +24,7 @@ from .dataset import LeaveOneOutSplit, StrongGeneralizationSplit
 from .errors import DimensionMismatch
 from .linalg import gramian
 from .model import FactorModel, rank_items
-from .solver import Hyperparameters, project_user, solver_side
+from .solver import BlockSide, Hyperparameters, project_user, solver_side
 
 # floats of scores or gathered candidate factors that one chunk of users
 # forms at once: 2 MiB, whatever the item count or dim
@@ -108,14 +108,14 @@ def _report(chunks, n_users: int, recall_ks, ndcg_ks, keep_per_user: bool,
 
 
 def _strong_generalization_hits(model: FactorModel, split: StrongGeneralizationSplit,
-                                hp: Hyperparameters, max_k: int):
+                                hp: Hyperparameters, side: BlockSide | None, max_k: int):
     """Yield (rows, hits, n_relevant) per chunk of split.users: one project_user
     call folds in every user, fold-in items rank last, targets are relevant."""
     H = model.item_factors
     users = split.users
     fold_ptr, fold_items = split.fold_in.rows(users)
     target_ptr, target_items = split.target.rows(users)
-    W = project_user(fold_ptr, fold_items, solver_side(H, gramian(H), hp), hp)
+    W = project_user(fold_ptr, fold_items, side or solver_side(H, gramian(H), hp), hp)
     rows = max(1, _CHUNK_FLOATS // H.shape[0])
     for first in range(0, users.size, rows):
         stop = min(first + rows, users.size)
@@ -129,14 +129,16 @@ def _strong_generalization_hits(model: FactorModel, split: StrongGeneralizationS
 def evaluate_strong_generalization(model: FactorModel, split: StrongGeneralizationSplit,
                                    hp: Hyperparameters, recall_ks=(20, 50),
                                    ndcg_ks=(100,), keep_per_user: bool = False,
-                                   ) -> MetricReport:
+                                   side: BlockSide | None = None) -> MetricReport:
     """Project each holdout user from fold-in items and rank all items.
 
     Fold-in items rank last (the user already has them); metrics are
-    computed against the target items and averaged in user order.
+    computed against the target items and averaged in user order.  side,
+    when given, is solver_side of the model's H under hp, as train hands
+    it to eval_fn; without it the fold-in builds its own.
     """
     _check_vocabulary(model, split)
-    hits = _strong_generalization_hits(model, split, hp.resolve(split.train),
+    hits = _strong_generalization_hits(model, split, hp.resolve(split.train), side,
                                        max([*recall_ks, *ndcg_ks]))
     return _report(hits, split.users.size, recall_ks, ndcg_ks, keep_per_user)
 

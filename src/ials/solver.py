@@ -495,26 +495,26 @@ def _update_side(factors: np.ndarray, side: BlockSide, ptr: np.ndarray,
     return loss_s, procs
 
 
-def update_users(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
-                 lams: np.ndarray, G: np.ndarray) -> tuple[float, int]:
+def update_users(model: FactorModel, data: InteractionSet, side: BlockSide,
+                 lams: np.ndarray) -> tuple[float, int]:
     """Half-step: re-solve all user embeddings with items fixed (mutates W).
 
-    lams are the users' L2 weights (penalty_weights) and G the Gramian of
-    H.  Returns (L_S, processes) of the update, as _update_side does.
+    side is the solver_side of H and lams the users' L2 weights
+    (penalty_weights).  Returns (L_S, processes), as _update_side does.
     """
-    return _update_side(model.user_factors, solver_side(model.item_factors, G, hp),
-                        data.user_ptr, data.user_items, lams, 1, "user half-step")
+    return _update_side(model.user_factors, side, data.user_ptr, data.user_items, lams, 1,
+                        "user half-step")
 
 
-def update_items(model: FactorModel, data: InteractionSet, hp: Hyperparameters,
-                 lams: np.ndarray, G: np.ndarray) -> tuple[float, int]:
+def update_items(model: FactorModel, data: InteractionSet, side: BlockSide,
+                 lams: np.ndarray) -> tuple[float, int]:
     """Half-step: re-solve all item embeddings with users fixed (mutates H).
 
-    lams are the items' L2 weights (penalty_weights) and G the Gramian of
-    W.  Returns (L_S, processes) of the update, as _update_side does.
+    side is the solver_side of W and lams the items' L2 weights
+    (penalty_weights).  Returns (L_S, processes), as _update_side does.
     """
-    return _update_side(model.item_factors, solver_side(model.user_factors, G, hp),
-                        data.item_ptr, data.item_users, lams, 1, "item half-step")
+    return _update_side(model.item_factors, side, data.item_ptr, data.item_users, lams, 1,
+                        "item half-step")
 
 
 def _loss_report(iteration: int, loss_s: float, G_W: np.ndarray, G_H: np.ndarray,
@@ -586,45 +586,48 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
     """Run T alternating iterations from a fresh seeded initialization.
 
     Each iteration updates users then items and reports the loss of the
-    updated model.  The report comes from what the half-steps already
-    hold: L_S from the item half-step's residuals, L_I from the Gramians of
-    W and H that the half-steps solve against (each formed once per
-    iteration; the next user half-step reuses the one of H), R from L2
-    weights formed once per call.  compute_losses is the reference it
-    must agree with.
+    updated model.  train alone builds the solver_side of each factor
+    matrix, once per iteration: W's for the item half-step, H's from the
+    Gramian of the loss, for eval_fn and the next user half-step (not built
+    when neither reads it).  L_S comes from the item half-step's residuals,
+    L_I from the two sides' Gramians, R from L2 weights formed once per
+    call.  compute_losses is the reference it must agree with.
 
     The observer, when given, is called after every iteration as
-    observer(iteration, LossReport, metrics, phases): metrics is eval_fn's
-    result (eval_fn takes the current model) or None, and phases holds the
-    wall seconds of the user half-step, the item half-step, the loss (the
-    Gramian of H and the report) and eval_fn (t_users, t_items, t_loss,
-    t_eval) and the processes the larger half-step ran on, as the
-    half-steps report it (workers).
+    observer(iteration, LossReport, metrics, phases): metrics is
+    eval_fn(model, side of H) or None, and phases holds the wall seconds
+    of the user half-step, the item half-step (with W's side), the loss
+    (with H's side) and eval_fn (t_users, t_items, t_loss, t_eval) and
+    the processes the larger half-step ran on, as the half-steps report
+    it (workers).
 
     Returns the trained model and the per-iteration loss reports.
     """
     hp = hp.resolve(data)
     model = init_model(data.num_users, data.num_items, hp.dim,
                        sigma_star=hp.sigma_star, seed=hp.seed)
+    W, H = model.user_factors, model.item_factors   # the half-steps update them in place
     lams = penalty_weights(data, hp)
-    G_H = gramian(model.item_factors)
+    side_H = solver_side(H, gramian(H), hp) if hp.iterations else None
     reports: list[LossReport] = []
     for t in range(1, hp.iterations + 1):
         started = time.perf_counter()
-        user_procs = update_users(model, data, hp, lams=lams[0], G=G_H)[1]
+        user_procs = update_users(model, data, side_H, lams[0])[1]
+        del side_H   # stale once H moves: free it before W's side is built
         t_users = time.perf_counter() - started
-        G_W = gramian(model.user_factors)
         started = time.perf_counter()
-        loss_s, item_procs = update_items(model, data, hp, lams=lams[1], G=G_W)
+        G_W = gramian(W)
+        loss_s, item_procs = update_items(model, data, solver_side(W, G_W, hp), lams[1])
         t_items = time.perf_counter() - started
         started = time.perf_counter()
-        G_H = gramian(model.item_factors)
+        G_H = gramian(H)
         report = _loss_report(t, loss_s, G_W, G_H, model, lams, hp.alpha0)
+        side_H = solver_side(H, G_H, hp) if eval_fn is not None or t < hp.iterations else None
         t_loss = time.perf_counter() - started
         del G_W   # dead until the next iteration forms it: free it before eval_fn
         reports.append(report)
         started = time.perf_counter()
-        metrics = eval_fn(model) if eval_fn is not None else None
+        metrics = eval_fn(model, side_H) if eval_fn is not None else None
         t_eval = time.perf_counter() - started
         if observer is not None:
             observer(t, report, metrics, {"t_users": t_users, "t_items": t_items,

@@ -9,7 +9,7 @@ import pytest
 import ials
 from ials.dataset import InteractionSet
 from ials.linalg import gramian
-from ials.solver import penalty_weights, update_users
+from ials.solver import penalty_weights, solver_side, update_users
 
 import oracles
 
@@ -41,12 +41,12 @@ def csr(item_lists):
 
 def half_step(update, model, data, hp):
     """L_S of update_users or update_items with the inputs train hands it:
-    the L2 weights of the side it updates and the Gramian of the fixed side."""
+    the solver_side of the fixed side and the L2 weights of the side it updates."""
     hp = hp.resolve(data)
     users = update is update_users
     lams = penalty_weights(data, hp)[0 if users else 1]
-    G = gramian(model.item_factors if users else model.user_factors)
-    return update(model, data, hp, lams, G)[0]
+    fixed = model.item_factors if users else model.user_factors
+    return update(model, data, solver_side(fixed, gramian(fixed), hp), lams)[0]
 
 
 def run_python(script, *args):

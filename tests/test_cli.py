@@ -1019,6 +1019,23 @@ class TestSweepCommand:
         assert [r["status"] for r in read_csv(out)] == ["ok"]
         assert "skips 1 user" in caplog.text
 
+    def test_loo_without_inner_validation_users_exits_2(self, tmp_path, rng, monkeypatch,
+                                                        caplog):
+        # two interactions per user: the outer holdout leaves each one
+        # training interaction, too few for the inner split
+        raw = write_raw(tmp_path / "raw.csv", rng, n_users=40, min_deg=2, max_deg=2)
+        loo = make_loo_dir(tmp_path, raw)
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kw: trained.append(args))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--split-dir", str(loo), "--protocol", "loo",
+                   "--out", str(out), "--alpha0-grid", "0.1", "--lambda-grid", "0.02",
+                   *SWEEP_BASE])
+        assert rc == 2
+        assert trained == []
+        assert not out.exists()
+        assert f"{loo} has no validation users to sweep on" in caplog.text
+
     def test_normalized_grid_column_name(self, tmp_path, raw_file):
         sg = make_strong_gen_dir(tmp_path, raw_file)
         out = tmp_path / "sweep.csv"

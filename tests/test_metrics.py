@@ -451,6 +451,60 @@ class TestRankingChunks:
         assert len(forks) == 1
 
 
+class TestSharedSide:
+    """train builds each factor matrix's side once per iteration and hands
+    H's to the validation fold-in, which then builds none of its own."""
+
+    @staticmethod
+    def validation(rng):
+        data = make_interactions(rng, n_users=30, n_items=12, min_deg=5)
+        return strong_generalization_split(data, 5, 5, seed=2)[0]
+
+    @staticmethod
+    def hp(solver, iterations):
+        return Hyperparameters(dim=6, alpha0=0.1, lambda_=0.01, iterations=iterations,
+                               solver=solver, block_size=4, projection_repeats=3)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    @pytest.mark.parametrize("solver", ["exact", "block"])
+    def test_build_counts(self, rng, monkeypatch, solver, iterations, validate):
+        counts = {"block_side": 0, "gramian": 0}
+        for module, name in ((ials.solver, "block_side"), (ials.solver, "gramian"),
+                             (ials.metrics, "gramian")):
+            def spy(*args, fn=getattr(module, name), name=name):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, spy)
+        validation, hp = self.validation(rng), self.hp(solver, iterations)
+
+        def eval_fn(model, side):
+            return evaluate_strong_generalization(model, validation, hp, side=side)
+
+        train(validation.train, hp, eval_fn=eval_fn if validate else None)
+        assert counts == {"block_side": 2 * iterations + validate,
+                          "gramian": 2 * iterations + 1}
+
+    @pytest.mark.parametrize("solver", ["exact", "block"])
+    def test_shared_side_changes_nothing(self, rng, solver):
+        validation, hp = self.validation(rng), self.hp(solver, 3)
+        runs = []
+
+        def eval_fn(model, side):
+            shared, built = (TestRankingChunks.per_user(evaluate_strong_generalization(
+                model, validation, hp, recall_ks=(2, 5), ndcg_ks=(3, 12),
+                keep_per_user=True, **kw)) for kw in ({"side": side}, {}))
+            runs.append((shared, built))
+
+        trained = [train(validation.train, hp, eval_fn=fn) for fn in (eval_fn, None)]
+        assert len(runs) == 3
+        assert all(shared == built for shared, built in runs)
+        (a, a_reports), (b, b_reports) = trained
+        assert a.user_factors.tobytes() == b.user_factors.tobytes()
+        assert a.item_factors.tobytes() == b.item_factors.tobytes()
+        assert a_reports == b_reports
+
+
 class TestMetricReport:
     def test_json_dict_flat(self):
         from ials.metrics import MetricReport

@@ -1227,7 +1227,7 @@ class TestTrain:
     def test_eval_fn_passed_to_observer(self, small_data):
         calls = []
 
-        def eval_fn(model):
+        def eval_fn(model, side):
             return {"marker": model.user_factors.sum()}
 
         def observer(iteration, report, metrics, phases):
@@ -1288,7 +1288,7 @@ class TestFreeLoss:
                             lambda *args, **kw: spied.append(args))
         expected = []
 
-        def eval_fn(model):
+        def eval_fn(model, side):
             expected.append(compute_losses(model, data, hp, iteration=len(expected) + 1))
 
         _, reports = train(data, hp, eval_fn=eval_fn)
