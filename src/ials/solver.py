@@ -250,19 +250,16 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
     partners the minimizer is 0 (b = 0, A positive semi-definite),
     returned without solving, for one block or many.
 
-    The d x d system is never formed (iALS++): each pass keeps r and
-    g = alpha0 * G @ x, and a solved block updates g only on the blocks
-    after it, about (d*d - d*b) / 2 multiply-adds per pass.  Each block
-    system is assembled and factored once, on the first pass, by
-    solve_entity on the block's columns; later passes run only
-    solve_factored and form g afresh (d*d), so P passes cost
-    O(n*d*b + d*b*b + P*(n*d + d*d)).
-    A block is solved in the interaction space when that takes fewer flops
-    (_woodbury_cheaper, about n < b, asked once per block width): with
+    The d x d system is never formed (iALS++).  A setup ahead of the
+    passes sets each block's path: the n x n interaction space when that
+    takes fewer flops over all passes (_woodbury_cheaper, about n < b) and
+    min(D) is not tiny against max(D), where D^-1 would magnify rounding;
+    else the b x b system of solve_entity on the block's columns.  With
     D = lam + lambda_entity and S = history[:, B] @ Q @ D^-1/2, Woodbury
-    factors the n x n I + S S' instead of the b x b block.  It falls back
-    to the b x b factor when min(D) is tiny against max(D), where D^-1
-    would magnify rounding.
+    factors the n x n I + S S'.  The first pass factors each block, later
+    ones reuse the factor.  A solved block updates g = alpha0 * G @ x on
+    the blocks after it, (d*d - d*b) / 2 multiply-adds, and each pass
+    forms g afresh (d*d): P passes cost O(n*d*b + d*b*b + P*(n*d + d*d)).
 
     Raises:
         InputError: current or g is not a vector of length d.
@@ -281,42 +278,34 @@ def solve_entity_block(current: np.ndarray, partners, side: BlockSide,
         return x, 1.0 - history @ x
     x = np.array(current, dtype=np.float64, copy=True)
     g = None if g is None else np.array(g, dtype=np.float64, copy=True)
-    cheaper = {}   # block width -> _woodbury_cheaper(n, width, passes)
-    # per block: (Cholesky factor, S, D^-1/2), S None off the n x n path
-    cache = [None] * len(side.blocks)
+    # per block: (S, D^-1/2) on the n x n path, and the factor its first solve sets
+    woodbury, chol = [None] * len(side.blocks), [None] * len(side.blocks)
+    for k, (_, lam, _, rotated, _, _) in enumerate(side.blocks):   # eigh's lam ascend
+        if (_woodbury_cheaper(n, lam.size, passes) and lam[0] + lambda_entity
+                > _WOODBURY_MIN_RATIO * (lam[-1] + lambda_entity)):
+            scale = 1.0 / np.sqrt(lam + lambda_entity)
+            woodbury[k] = rotated[partners] * scale, scale
     for _ in range(passes):
         r = 1.0 - history @ x
         if g is None:
             g = side.alpha0 * (side.G @ x)
-        for k, (B, lam, Q, rotated, alpha_G, below) in enumerate(side.blocks):
+        for k, (B, _, Q, _, alpha_G, below) in enumerate(side.blocks):
             h = history[:, B]
             rhs = h.T @ r - g[B] - lambda_entity * x[B]
-            if cache[k] is None:   # first pass: choose the block's path
-                b = lam.size
-                if b not in cheaper:
-                    cheaper[b] = _woodbury_cheaper(n, b, passes)
-                # eigh's lam ascend, so D = lam + lambda_entity has min(D) first
-                if (cheaper[b] and lam[0] + lambda_entity
-                        > _WOODBURY_MIN_RATIO * (lam[-1] + lambda_entity)):
-                    scale = 1.0 / np.sqrt(lam + lambda_entity)
-                    cache[k] = None, rotated[partners] * scale, scale
-                else:
-                    cache[k] = None, None, None
-            L, S, scale = cache[k]
-            if S is not None:
+            if woodbury[k] is not None:
+                S, scale = woodbury[k]
                 u = (Q.T @ rhs) * scale
                 rhs = S @ u
-            if L is not None:
-                delta = solve_factored(L, rhs)
-            elif S is None:
-                delta, L = solve_entity(h, alpha_G, lambda_entity, rhs)
+            if chol[k] is not None:
+                delta = solve_factored(chol[k], rhs)
+            elif woodbury[k] is None:
+                delta, chol[k] = solve_entity(h, alpha_G, lambda_entity, rhs)
             else:
                 A = S @ S.T
                 A.ravel()[:: n + 1] += 1.0
-                delta, L = solve_spd(A, rhs)
-            if S is not None:
+                delta, chol[k] = solve_spd(A, rhs)
+            if woodbury[k] is not None:
                 delta = Q @ ((u - S.T @ delta) * scale)
-            cache[k] = L, S, scale
             x[B] += delta
             r -= h @ delta
             if B.stop < d:

@@ -49,10 +49,11 @@ def half_step(update, model, data, hp):
     return update(model, data, solver_side(fixed, gramian(fixed), hp), lams)[0]
 
 
-def run_python(script, *args):
-    """Run a Python script in a fresh interpreter that imports this ials."""
+def run_python(script, *args, flag="-c"):
+    """Run a Python script (flag "-c") or module (flag "-m") in a fresh
+    interpreter that imports this ials."""
     env = dict(os.environ)
     src = str(Path(ials.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+    return subprocess.run([sys.executable, flag, script, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=300)

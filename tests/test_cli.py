@@ -1195,3 +1195,11 @@ class TestConfigFuzz:
                 code = exc.code
         assert code in (0, 2), (argv, config)
         assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["ials", "ials.cli"])
+def test_python_m_runs_the_cli(tmp_path, module):
+    done = run_python(module, "split", "--data", tmp_path / "missing.csv", "--protocol", "loo",
+                      "--out", tmp_path / "x", flag="-m")
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert "cannot open" in done.stderr

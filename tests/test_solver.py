@@ -400,6 +400,24 @@ class TestBlockKernel:
         scale = max(np.abs(dense).max(), np.abs(current).max())
         assert np.abs(got - dense).max() <= 1e-10 * scale
 
+    def test_mixed_paths_factor_each_block_once(self, rng, monkeypatch):
+        # three 64-wide blocks in the n x n space and the 8-wide last one as
+        # b x b, over 8 passes: each block factored once, on the first pass
+        d, b, n, passes = 200, 64, 5, 8
+        assert ials.solver._woodbury_cheaper(n, b, passes)
+        assert not ials.solver._woodbury_cheaper(n, d % b, passes)
+        H = rng.standard_normal((40, d)) * (0.5 / np.sqrt(d))
+        side = block_side(H, gramian(H), 0.3, b)
+        partners = rng.choice(40, size=n, replace=False)
+        current = rng.standard_normal(d)
+        # before the spy: the oracle's solve_entity calls ials.solver.solve_spd
+        want = oracles.solve_entity_block(current, partners, side, 0.05, passes)
+        sizes = self.spy_sizes(monkeypatch)
+        got = solve_entity_block(current, partners, side, 0.05, passes)
+        assert sizes == [n, n, n, d % b]
+        for a, w in zip(got, want):
+            assert a.tobytes() == w.tobytes()
+
     @pytest.mark.usefixtures("one_process")
     def test_fold_in_factors_each_block_once(self, rng, monkeypatch):
         # every block takes the b x b path: bitwise equal to the repeated pass
