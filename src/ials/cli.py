@@ -328,31 +328,29 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     if validation is None or not validation.users.size:
         raise InputError(f"{ns.split_dir} has no validation users to sweep on")
 
-    rows = []
     best = None
-    for alpha0, reg, hp in points:
-        tag = f"alpha0={alpha0:g} {reg_col}={reg:g}"
-        try:
-            started = time.perf_counter()
-            model, _ = train(validation.train, hp)
-            report = _score(ns, model, validation, hp)
-            elapsed = time.perf_counter() - started
-        except IalsError as exc:
-            log.warning("grid point %s failed: %s", tag, exc)
-            rows.append({"alpha0": alpha0, reg_col: reg, "status": f"error: {exc}"})
-            continue
-        row = {"alpha0": alpha0, reg_col: reg, "status": "ok"}
-        row.update({k: report.means[k] for k in names})
-        rows.append(row)
-        log.info("%s -> %s=%.4f (%.1fs)", tag, metric, report.means[metric], elapsed)
-        if best is None or report.means[metric] > best[2]:
-            best = (alpha0, reg, report.means[metric])
-
-    fieldnames = ["alpha0", reg_col, "status"] + names
+    # the header goes out before the first point trains, so a bad --out
+    # costs no training; each row follows when its point finishes
     with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=["alpha0", reg_col, "status"] + names)
         writer.writeheader()
-        writer.writerows(rows)
+        for alpha0, reg, hp in points:
+            tag = f"alpha0={alpha0:g} {reg_col}={reg:g}"
+            try:
+                started = time.perf_counter()
+                model, _ = train(validation.train, hp)
+                report = _score(ns, model, validation, hp)
+                elapsed = time.perf_counter() - started
+            except IalsError as exc:
+                log.warning("grid point %s failed: %s", tag, exc)
+                writer.writerow({"alpha0": alpha0, reg_col: reg, "status": f"error: {exc}"})
+                continue
+            row = {"alpha0": alpha0, reg_col: reg, "status": "ok"}
+            row.update({k: report.means[k] for k in names})
+            writer.writerow(row)
+            log.info("%s -> %s=%.4f (%.1fs)", tag, metric, report.means[metric], elapsed)
+            if best is None or report.means[metric] > best[2]:
+                best = (alpha0, reg, report.means[metric])
     print(f"sweep table written to {ns.out}")
 
     if best is None:

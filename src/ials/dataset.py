@@ -9,6 +9,7 @@ benchmark splits are consumed bit-exactly.
 
 from __future__ import annotations
 
+import csv
 import gzip
 import io
 import logging
@@ -308,7 +309,7 @@ def _table_rows(columns: list[np.ndarray], pos: dict[str, int], min_rating: floa
     """
     width, rpos = len(columns), pos.get("rating")
     if (width <= max(pos["user"], pos["item"])
-            or min_rating is not None and (rpos is None or rpos >= width)):
+            or min_rating is not None and rpos >= width):
         raise ValueError("short rows")
     users = columns[pos["user"]]
     keep = np.ones(users.size, dtype=bool) if min_rating is None else ~(columns[rpos] < min_rating)
@@ -365,7 +366,7 @@ def _interaction_lines(block: str, lineno: int, path, pos: dict[str, int],
             if len(fields) < need:
                 raise ValueError(f"expected at least {need} fields, got {len(fields)}")
             if min_rating is not None:
-                if rpos is None or rpos >= len(fields):
+                if rpos >= len(fields):
                     raise ValueError("rating threshold set but no rating field")
                 if float(fields[rpos]) < min_rating:
                     continue
@@ -471,7 +472,8 @@ def load_interactions(path, *, delimiter: str | None = None,
             dropped (binarization threshold); default keeps every row.
 
     Raises:
-        InputError: bad delimiter, column list or min_rating.
+        InputError: bad delimiter, column list or min_rating (NaN, or set
+            without a rating column).
         ParseError: malformed row (with its line number).
         EmptyDataset: nothing survived filtering.
     """
@@ -483,6 +485,8 @@ def load_interactions(path, *, delimiter: str | None = None,
     if min_rating is not None and np.isnan(min_rating):
         raise InputError("min_rating must not be NaN")
     pos = _parse_columns(columns)
+    if min_rating is not None and "rating" not in pos:
+        raise InputError(f"min_rating needs a rating column, got columns {columns!r}")
 
     users, items, times = _IdCodes(), _IdCodes(), []
     timed = "time" in pos
@@ -754,12 +758,13 @@ def _read_int_table(path, width: int | None = None, may_be_empty: bool = False) 
 
 
 def write_id_maps(out_dir, data: InteractionSet) -> None:
-    """Persist external-id maps as (external_id, internal_index) CSVs."""
+    """Persist external-id maps as (external_id, internal_index) CSVs; an id
+    holding a comma or a quote is quoted as csv.writer quotes it."""
     for name, ids in (("user_map.csv", data.user_ids), ("item_map.csv", data.item_ids)):
         if ids is None:
             continue
-        _write_table(os.path.join(out_dir, name),
-                     np.column_stack((np.asarray(ids, dtype=object), np.arange(len(ids)))))
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(zip(ids, range(len(ids))))
 
 
 def _save_tables(out_dir, names, parts) -> None:

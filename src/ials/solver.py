@@ -32,10 +32,6 @@ from .model import FactorModel, init_model
 
 SOLVER_KINDS = ("exact", "block")
 
-# floats per gathered factor chunk when compute_losses streams the
-# observed pairs: 2**20 // dim rows, so two 8 MiB gathers whatever dim is
-_LOSS_CHUNK_FLOATS = 2 ** 20
-
 # floats per chunk of alpha0 * X @ G, the block passes' start g, that a
 # half-step forms at once: 2**15 // dim rows, 256 KiB whatever dim is
 _START_CHUNK_FLOATS = 2 ** 15
@@ -506,9 +502,9 @@ def update_items(model: FactorModel, data: InteractionSet, side: BlockSide,
                         "item half-step")
 
 
-def _loss_report(iteration: int, loss_s: float, G_W: np.ndarray, G_H: np.ndarray,
-                 model: FactorModel, lams: tuple[np.ndarray, np.ndarray],
-                 alpha0: float) -> LossReport:
+def compute_losses(iteration: int, loss_s: float, G_W: np.ndarray, G_H: np.ndarray,
+                   model: FactorModel, lams: tuple[np.ndarray, np.ndarray],
+                   alpha0: float) -> LossReport:
     """L = L_S + L_I + R from the observed error, both Gramians and the L2 weights.
 
     The implicit term uses the Frobenius inner product of the two
@@ -521,29 +517,6 @@ def _loss_report(iteration: int, loss_s: float, G_W: np.ndarray, G_H: np.ndarray
                 + lam_i @ (model.item_factors ** 2).sum(axis=1))
     return LossReport(iteration=iteration, L=loss_s + loss_i + reg,
                       L_S=loss_s, L_I=loss_i, R=reg)
-
-
-def compute_losses(model: FactorModel, data: InteractionSet,
-                   hp: Hyperparameters, iteration: int = 0) -> LossReport:
-    """Evaluate the full objective of a model from scratch.
-
-    The reference for the losses train takes from its half-steps.  The
-    observed term streams over S in chunks of 2**20 // dim pairs.
-    """
-    hp = hp.resolve(data)
-    W, H = model.user_factors, model.item_factors
-    chunk = max(1, _LOSS_CHUNK_FLOATS // model.dim)
-
-    loss_s = 0.0
-    users, items = data.pairs()
-    for start in range(0, users.size, chunk):
-        u = users[start:start + chunk]
-        i = items[start:start + chunk]
-        scores = np.einsum("ij,ij->i", W[u], H[i])
-        loss_s += float(((scores - 1.0) ** 2).sum())
-
-    return _loss_report(iteration, loss_s, gramian(W), gramian(H), model,
-                        penalty_weights(data, hp), hp.alpha0)
 
 
 def project_user(ptr: np.ndarray, items: np.ndarray, side: BlockSide,
@@ -578,9 +551,9 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
     updated model.  train alone builds the solver_side of each factor
     matrix, once per iteration: W's for the item half-step, H's from the
     Gramian of the loss, for eval_fn and the next user half-step (not built
-    when neither reads it).  L_S comes from the item half-step's residuals,
-    L_I from the two sides' Gramians, R from L2 weights formed once per
-    call.  compute_losses is the reference it must agree with.
+    when neither reads it).  compute_losses sums the report: L_S from the
+    item half-step's residuals, L_I from the two sides' Gramians, R from
+    L2 weights formed once per call.
 
     The observer, when given, is called after every iteration as
     observer(iteration, LossReport, metrics, phases): metrics is
@@ -610,7 +583,7 @@ def train(data: InteractionSet, hp: Hyperparameters, observer=None, eval_fn=None
         t_items = time.perf_counter() - started
         started = time.perf_counter()
         G_H = gramian(H)
-        report = _loss_report(t, loss_s, G_W, G_H, model, lams, hp.alpha0)
+        report = compute_losses(t, loss_s, G_W, G_H, model, lams, hp.alpha0)
         side_H = solver_side(H, G_H, hp) if eval_fn is not None or t < hp.iterations else None
         t_loss = time.perf_counter() - started
         del G_W   # dead until the next iteration forms it: free it before eval_fn

@@ -5,11 +5,15 @@ explicit loops over every user-item pair, rank-by-rank metric evaluation,
 text files read and written one line at a time.  None of it imports
 solver/metrics internals beyond plain data types and the Cholesky solve
 primitives, except solve_entity_block: the block step as it was before
-its per-block side arrays, kept to pin the faster step byte for byte.
+its per-block side arrays, kept to pin the faster step byte for byte;
+and losses_from_scratch, which hands fresh Gramians and L2 weights
+(gramian, penalty_weights) to the loss report train makes
+(compute_losses).
 """
 
 from __future__ import annotations
 
+import csv
 import gzip
 import math
 import os
@@ -21,8 +25,14 @@ from scipy.linalg import cho_solve, cholesky
 
 from ials.dataset import EmptyDataset, InteractionSet, ParseError
 from ials.errors import InputError
-from ials.linalg import solve_factored, solve_spd
-from ials.solver import _WOODBURY_MIN_RATIO, _woodbury_cheaper, solve_entity
+from ials.linalg import gramian, solve_factored, solve_spd
+from ials.solver import (
+    _WOODBURY_MIN_RATIO,
+    _woodbury_cheaper,
+    compute_losses,
+    penalty_weights,
+    solve_entity,
+)
 
 
 def rating_weight(count, other_side_size, alpha0, nu, lam):
@@ -52,6 +62,18 @@ def full_loss(W, H, data, alpha0, nu, lam) -> float:
         lam_i = rating_weight(S[:, i].sum(), n_users, alpha0, nu, lam)
         reg += lam_i * float(H[i] @ H[i])
     return loss_s + loss_i + reg
+
+
+def losses_from_scratch(model, data, hp, iteration=0):
+    """The loss report of a model from scratch: L_S over every observed
+    pair, L_I and R from fresh Gramians and L2 weights of hp resolved
+    against data."""
+    hp = hp.resolve(data)
+    W, H = model.user_factors, model.item_factors
+    users, items = data.pairs()
+    loss_s = float(((np.einsum("ij,ij->i", W[users], H[items]) - 1.0) ** 2).sum())
+    return compute_losses(iteration, loss_s, gramian(W), gramian(H), model,
+                          penalty_weights(data, hp), hp.alpha0)
 
 
 def normal_equation_solution(observed_rows, all_rows, alpha0, lam_entity) -> np.ndarray:
@@ -332,6 +354,8 @@ def load_interactions_lines(path, *, delimiter=None, columns="user,item,rating,t
         delimiter = "\t" if base.endswith(".tsv") else ","
     pos = {name: idx for idx, name in enumerate(c.strip() for c in columns.split(","))
            if name != "skip"}
+    if min_rating is not None and "rating" not in pos:
+        raise InputError(f"min_rating needs a rating column, got columns {columns!r}")
     need = max(pos["user"], pos["item"]) + 1
     user_index, item_index = {}, {}
     users, items, times = array("q"), array("q"), array("d")
@@ -347,7 +371,7 @@ def load_interactions_lines(path, *, delimiter=None, columns="user,item,rating,t
                     raise ValueError(f"expected at least {need} fields, got {len(fields)}")
                 rpos = pos.get("rating")
                 if min_rating is not None:
-                    if rpos is None or rpos >= len(fields):
+                    if rpos >= len(fields):
                         raise ValueError("rating threshold set but no rating field")
                     if float(fields[rpos]) < min_rating:
                         continue
@@ -430,9 +454,10 @@ def write_id_maps_lines(out_dir, data) -> None:
     for name, ids in (("user_map.csv", data.user_ids), ("item_map.csv", data.item_ids)):
         if ids is None:
             continue
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
             for idx, ext in enumerate(ids):
-                fh.write(f"{ext},{idx}\n")
+                writer.writerow([ext, idx])
 
 
 def save_strong_generalization_lines(out_dir, validation, test) -> None:

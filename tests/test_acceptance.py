@@ -28,7 +28,6 @@ from ials.model import FactorModel, init_model
 from ials.solver import (
     Hyperparameters,
     block_side,
-    compute_losses,
     effective_lambda_from_counts,
     project_user,
     regularization_weight,
@@ -178,13 +177,13 @@ def test_criterion_06_monotone_half_steps_and_stationary_end_point():
             nu=float(rng.choice([0.0, 0.5, 1.0])),
             seed=int(rng.integers(10_000)))
         model = init_model(n_users, n_items, hp.dim, hp.sigma_star, hp.seed)
-        losses = [compute_losses(model, data, hp).L]
+        losses = [oracles.losses_from_scratch(model, data, hp).L]
         stalled = 0
         for _round in range(1500):  # run to a fixed point, where grads vanish
             half_step(update_users, model, data, hp)
-            losses.append(compute_losses(model, data, hp).L)
+            losses.append(oracles.losses_from_scratch(model, data, hp).L)
             half_step(update_items, model, data, hp)
-            losses.append(compute_losses(model, data, hp).L)
+            losses.append(oracles.losses_from_scratch(model, data, hp).L)
             if losses[-3] - losses[-1] <= 1e-15 * max(1.0, abs(losses[-1])):
                 stalled += 1
                 if stalled >= 2:
@@ -211,7 +210,7 @@ def test_criterion_07_implicit_loss_gramian_identity():
         model = init_model(n_users, n_items, d, sigma_star=1.0,
                            seed=int(rng.integers(10_000)))
         hp = Hyperparameters(dim=d, alpha0=alpha0, lambda_=0.01)
-        got = compute_losses(model, data, hp).L_I
+        got = oracles.losses_from_scratch(model, data, hp).L_I
         want = oracles.implicit_loss_double_loop(
             model.user_factors, model.item_factors, alpha0)
         assert got == pytest.approx(want, rel=1e-10)

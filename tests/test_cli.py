@@ -895,6 +895,9 @@ def _bad_input(case: str, tmp_path, raw_file, trained_splits):
     if case == "--min-rating nan":
         return ([*split, "--protocol", "loo", "--min-rating", "nan"], 2,
                 "min_rating must not be NaN")
+    if case == "--min-rating without rating":
+        return ([*split, "--protocol", "loo", "--columns", "user,item", "--min-rating", "3"], 2,
+                "min_rating needs a rating column, got columns 'user,item'")
     if case == "--delimiter ''":
         return ([*split, "--protocol", "loo", "--delimiter", ""], 2,
                 "delimiter must be non-empty and on one line, got ''")
@@ -920,7 +923,7 @@ class TestBadInput:
     @pytest.mark.parametrize("case", [
         "--ndcg-ks 0", "--alpha0-grid ,", "--repeats 0", "sweep without validation users",
         "unwritable --out", "--columns rating,time", "--columns user,item,user",
-        "--min-rating nan", "--delimiter ''", "--holdout-users 0",
+        "--min-rating nan", "--min-rating without rating", "--delimiter ''", "--holdout-users 0",
         "--sigma-star -1", "model shape x", "model shape 0", "loo users beyond the model's",
     ])
     def test_exit_code_and_message(self, tmp_path, raw_file, trained_splits, capsys, caplog,
@@ -1133,6 +1136,18 @@ class TestSweepCommand:
                    "--lambda-grid", "0.02", *SWEEP_BASE])
         assert rc == 1
         assert all(r["status"].startswith("error:") for r in read_csv(out))
+
+    def test_unwritable_out_fails_before_training(self, tmp_path, raw_file, monkeypatch,
+                                                  caplog):
+        loo = make_loo_dir(tmp_path, raw_file)
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kw: trained.append(args))
+        rc = main(["sweep", "--split-dir", str(loo), "--protocol", "loo",
+                   "--out", str(tmp_path / "nodir" / "sweep.csv"), "--alpha0-grid", "0.1",
+                   "--lambda-grid", "0.02,0.05", *SWEEP_BASE])
+        assert rc == 1
+        assert trained == []
+        assert "No such file or directory" in caplog.text
 
 
 def _option_names(command: str) -> list[str]:

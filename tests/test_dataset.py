@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import gzip
 import filecmp
 import re
@@ -205,6 +206,14 @@ class TestLoadInteractions:
         assert load_interactions(path, min_rating=-float("inf")).num_pairs == 4
         with pytest.raises(EmptyDataset):
             load_interactions(path, min_rating=float("inf"))
+
+    @pytest.mark.parametrize("text", ["1,10\n2,11\n", "1,10\n"])
+    def test_min_rating_needs_a_rating_column(self, tmp_path, text):
+        # line 1 was once taken as a header, or the file read as empty
+        path = self._write(tmp_path, text)
+        for load in (load_interactions, oracles.load_interactions_lines):
+            with pytest.raises(InputError, match="min_rating needs a rating column"):
+                load(path, columns="user,item", min_rating=3)
 
     def test_duplicate_pairs_merge(self, tmp_path):
         path = self._write(tmp_path, "a,x,5,1\na,x,5,9\nb,x,5,2\n")
@@ -549,6 +558,16 @@ class TestSplitDirIO:
         ials.dataset.write_id_maps(tmp_path, data)
         lines = (tmp_path / "user_map.csv").read_text().splitlines()
         assert lines == ["a,0", "b,1"]
+
+    def test_id_maps_quote_commas_and_quotes(self, tmp_path):
+        path = tmp_path / "raw.tsv"
+        path.write_text('a,b\tx\nsay "hi"\ty\nuser, 0\tx\n')
+        data = ials.dataset.load_interactions(path, delimiter="\t", columns="user,item")
+        ials.dataset.write_id_maps(tmp_path, data)
+        with open(tmp_path / "user_map.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert list(data.user_ids) == ["a,b", 'say "hi"', "user, 0"]
+        assert rows == [[data.user_ids[k], str(k)] for k in range(3)]
 
 
 COLUMN_LISTS = ["user,item", "user,item,rating", "user,item,rating,time",
