@@ -9,6 +9,7 @@ large to allocate included), 1 anything else that fails at runtime.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -286,11 +287,13 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
         if validation is None or not validation.users.size:
             raise InputError(f"{ns.split_dir} has no validation users")
         split = validation
-    reports = [_score(ns, model, split) for model in map(load_model, ns.model)]
-    text = json.dumps(_aggregate(reports), indent=2)
-    print(text)
-    if ns.out:
-        Path(ns.out).write_text(text + "\n", encoding="utf-8")
+    # --out is opened before any model loads, so a bad path costs no scoring
+    with open(ns.out, "w", encoding="utf-8") if ns.out else contextlib.nullcontext() as out:
+        reports = [_score(ns, model, split) for model in map(load_model, ns.model)]
+        text = json.dumps(_aggregate(reports), indent=2)
+        print(text)
+        if out:
+            out.write(text + "\n")
     return 0
 
 

@@ -490,14 +490,17 @@ def load_interactions(path, *, delimiter: str | None = None,
 
     users, items, times = _IdCodes(), _IdCodes(), []
     timed = "time" in pos
+    head = None   # line 1 while it is the only row that is not clean integers
 
-    for start, block in _blocks(path):
-        block, sep = _one_char(block, delimiter)
+    for start, text in _blocks(path):
+        block, sep = _one_char(text, delimiter)
+        scanned = False
         try:
             try:
                 # int64 keys, canonical ids ("007" is not "7"); no name holds the table
                 rows = _table_rows(list(_int_block(block, sep, (pos["user"], pos["item"])).T),
                                    pos, min_rating, timed)
+                scanned = True
             except ValueError:
                 try:
                     rows = _interaction_table(block, pos, sep, min_rating, timed)
@@ -509,6 +512,10 @@ def load_interactions(path, *, delimiter: str | None = None,
             log.debug("treating first line of %s as a header", path)
             continue
         u_keys, i_keys, block_times, timed = rows
+        if not scanned and start == 1 and len(u_keys):
+            head = text.rstrip("\n")
+        elif not scanned:
+            head = None
         users.add(u_keys)
         items.add(i_keys)
         times.append(block_times)
@@ -516,6 +523,9 @@ def load_interactions(path, *, delimiter: str | None = None,
     user_codes = users.codes()
     if not user_codes.size:
         raise EmptyDataset(f"no interactions loaded from {path}")
+    if head is not None and start > 1:
+        log.warning("%s: line 1 %r is read as a row, though every later line is "
+                    "integers; is it a header?", path, head)
     times = np.concatenate(times) if timed else None
 
     return InteractionSet.from_pairs(

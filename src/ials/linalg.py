@@ -65,8 +65,6 @@ JITTER_RETRIES = 3
 # integers and suffixed names.
 _OPENBLAS = ((_umath_linalg.__file__, "scipy_openblas_{}_num_threads64_"),
              (_flapack.__file__, "scipy_openblas_{}_num_threads"))
-# (get, set) function pairs, looked up on the first blas_threads call.
-_thread_controls: list | None = None
 
 
 class NotPositiveDefinite(IalsError):
@@ -148,25 +146,24 @@ def solve_factored(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dpotrs(L, b, lower=1)[0]
 
 
-def _openblas_thread_controls() -> list:
-    """(get, set) thread-count functions of each bundled OpenBLAS found."""
-    global _thread_controls
-    if _thread_controls is None:
-        controls = []
-        for path, symbol in _OPENBLAS:
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:
-                continue
-            get = getattr(lib, symbol.format("get"), None)
-            set_ = getattr(lib, symbol.format("set"), None)
-            if get is None or set_ is None:
-                continue
+def _openblas_thread_controls(libraries=_OPENBLAS) -> list:
+    """(get, set) thread-count functions of each (path, symbol template) found."""
+    controls = []
+    for path, symbol in libraries:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        get, set_ = (getattr(lib, symbol.format(op), None) for op in ("get", "set"))
+        if get is not None and set_ is not None:
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
             controls.append((get, set_))
-        _thread_controls = controls
-    return _thread_controls
+    return controls
+
+
+# the libraries are loaded already, so binding them here costs two lookups
+_THREAD_CONTROLS = _openblas_thread_controls()
 
 
 @contextmanager
@@ -179,7 +176,7 @@ def blas_threads(n: int):
     threads of one process must not train at the same time.  Without
     the OpenBLAS symbols (another BLAS build) this does nothing.
     """
-    controls = _openblas_thread_controls()
+    controls = _THREAD_CONTROLS
     before = [get() for get, _ in controls]
     for _, set_ in controls:
         set_(n)

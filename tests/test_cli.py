@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import ials.cli as cli
 import ials.dataset as ds
 import ials.metrics as mt
+import ials.solver
 from ials.cli import main
 from ials.dataset import LOO_FILES, STRONG_GEN_FILES
 from ials.errors import IalsError
@@ -203,6 +205,18 @@ class TestTrainCommand:
             assert (out / f"model-seed{seed}.bin").exists()
             assert (out / f"train-seed{seed}.jsonl").exists()
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+    def test_failed_fork_is_runtime_error(self, tmp_path, raw_file, monkeypatch, caplog):
+        def refuse():
+            raise OSError("fork refused")
+        loo = make_loo_dir(tmp_path, raw_file)
+        monkeypatch.setattr(ials.solver, "_cpus", lambda: 2)
+        monkeypatch.setattr(ials.solver, "_FORK_WORK", 1.0)
+        monkeypatch.setattr(os, "fork", refuse)
+        rc = main(["train", "--split-dir", str(loo), "--protocol", "loo",
+                   "--out", str(tmp_path / "run"), *TRAIN_FLAGS])
+        assert rc == 1
+        assert "fork refused" in caplog.text
 
     def test_missing_dim_is_input_error(self, tmp_path, raw_file, caplog):
         loo = make_loo_dir(tmp_path, raw_file)
@@ -469,6 +483,18 @@ class TestEvaluateCommand:
             values = [s[name] for s in singles]
             assert combined[name] == pytest.approx(np.mean(values))
             assert combined[name + "_std"] == pytest.approx(np.std(values, ddof=1))
+
+    def test_unwritable_out_fails_before_scoring(self, tmp_path, raw_file, monkeypatch,
+                                                 caplog):
+        split, _, models = self._trained(tmp_path, raw_file, "loo")
+        scored = []
+        monkeypatch.setattr(cli, "_score", lambda *args: scored.append(args))
+        out = tmp_path / "nodir" / "e.json"
+        rc = main(["evaluate", "--split-dir", str(split), "--protocol", "loo",
+                   "--model", str(models[0]), "--out", str(out)])
+        assert rc == 1
+        assert scored == []
+        assert f"No such file or directory: '{out}'" in caplog.text
 
     def test_strong_gen_reads_each_model_once(self, tmp_path, raw_file, monkeypatch):
         split, _, models = self._trained(tmp_path, raw_file, "strong-gen")

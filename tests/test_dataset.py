@@ -68,6 +68,14 @@ class TestFromPairs:
         with pytest.raises(InputError):
             InteractionSet.from_pairs([0, -1], [0, 0])
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(InputError, match="equal length"):
+            InteractionSet.from_pairs([0, 1], [0])
+
+    def test_misaligned_timestamps_rejected(self):
+        with pytest.raises(InputError, match="timestamps must align"):
+            InteractionSet.from_pairs([0, 1], [0, 1], timestamps=[5.0])
+
     def test_pairs_round_trip(self, rng):
         data = make_interactions(rng, n_users=10, n_items=7)
         users, items = data.pairs()
@@ -121,6 +129,18 @@ class TestLoadInteractions:
         data = load_interactions(path, delimiter="::")
         assert data.num_pairs == 2
 
+    def test_delimiter_the_byte_scan_cannot_take(self, tmp_path):
+        # a non-ASCII separator sends every block to the next tier
+        rows = ["1,10,4,100", "1,11,5,101", "2,10,3,102", "3,12,1,103"]
+        by_comma = load_interactions(self._write(tmp_path, "\n".join(rows) + "\n"))
+        path = self._write(tmp_path, "\n".join(rows).replace(",", "é") + "\n", "e.csv")
+        by_e = load_interactions(path, delimiter="é")
+        assert list(by_e.user_ids) == list(by_comma.user_ids)
+        assert list(by_e.item_ids) == list(by_comma.item_ids)
+        assert np.array_equal(by_e.user_ptr, by_comma.user_ptr)
+        assert np.array_equal(by_e.user_items, by_comma.user_items)
+        assert np.array_equal(by_e.timestamps, by_comma.timestamps)
+
     def test_tsv_default_tab(self, tmp_path):
         path = self._write(tmp_path, "u\ti\t1\t2\n", name="data.tsv")
         assert load_interactions(path).num_pairs == 1
@@ -137,6 +157,23 @@ class TestLoadInteractions:
         assert data.num_pairs == 1
         assert list(data.user_ids) == ["a"]
 
+    @pytest.mark.parametrize("text, warned", [
+        ("uid,sid\n1,10\n1,11\n2,10\n2,12\n", True),   # VAE-CF's header
+        ("1,10\n1,11\n2,10\n2,12\n", False),
+        ("u1,i1\nu1,i2\nu2,i1\n", False),
+        ("user,item,rating,time\na,x,5,1\n", False),    # skipped: it does not parse
+    ])
+    def test_warns_of_an_id_like_header(self, tmp_path, caplog, text, warned):
+        path = self._write(tmp_path, text)
+        with caplog.at_level("WARNING", logger="ials.dataset"):
+            data = load_interactions(path)
+        messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert messages == ([f"{path}: line 1 'uid,sid' is read as a row, though every "
+                             "later line is integers; is it a header?"] if warned else [])
+        if warned:   # the rule stands: line 1 is a row
+            assert list(data.user_ids) == ["uid", "1", "2"]
+            assert data.num_pairs == 5
+
     def test_min_rating_filters(self, tmp_path):
         path = self._write(tmp_path, "a,x,5,1\na,y,2,2\nb,x,4,3\n")
         data = load_interactions(path, min_rating=4.0)
@@ -152,6 +189,13 @@ class TestLoadInteractions:
         path = self._write(tmp_path, "a,x,5,1\nb,y,bad,2\n")
         with pytest.raises(ParseError, match="line 2"):
             load_interactions(path, min_rating=3.0)
+
+    def test_bad_rating_in_a_ragged_block_names_its_line(self, tmp_path):
+        # no min_rating: a rating is only checked to be a number, here by
+        # the line reader, the one tier that takes rows of unequal width
+        path = self._write(tmp_path, "a,x,5,1\nb,y\nc,z,bad,2\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_interactions(path)
 
     def test_short_row_rejected(self, tmp_path):
         path = self._write(tmp_path, "a,x,1,1\nonlyonefield\n")

@@ -171,10 +171,20 @@ class TestBlasThreads:
     def test_no_op_without_symbols(self, monkeypatch):
         real = ials.linalg._openblas_thread_controls()
         before = [get() for get, _ in real]
-        monkeypatch.setattr(ials.linalg, "_thread_controls", [])
+        monkeypatch.setattr(ials.linalg, "_THREAD_CONTROLS", [])
         with blas_threads(1):
             assert [get() for get, _ in real] == before
         assert [get() for get, _ in real] == before
+
+    @pytest.mark.parametrize("library", ["does not load", "lacks the symbols"])
+    def test_controls_skip_a_library(self, tmp_path, library):
+        path, symbol = ials.linalg._OPENBLAS[1]
+        if library == "does not load":
+            path = tmp_path / "libnothing.so"
+            path.write_bytes(b"not a shared object")
+        else:
+            symbol = "ials_no_such_{}_num_threads"
+        assert ials.linalg._openblas_thread_controls([(str(path), symbol)]) == []
 
 
 def spd_system(rng, d):

@@ -50,6 +50,10 @@ class TestFactorModel:
         with pytest.raises(DimensionMismatch):
             FactorModel(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    def test_one_dim_factors(self):
+        with pytest.raises(DimensionMismatch, match="2-d"):
+            FactorModel(np.zeros(3), np.zeros((2, 3)))
+
     def test_properties(self):
         m = FactorModel(np.zeros((2, 3)), np.zeros((5, 3)))
         assert (m.num_users, m.num_items, m.dim) == (2, 5, 3)

@@ -939,6 +939,17 @@ class TestForkedEntityLoop:
             self.half_step_on_three(rng, monkeypatch, overflow)
         self.assert_no_child_left()
 
+    def test_failed_fork_closes_its_pipe(self, rng, monkeypatch):
+        def refuse():
+            raise OSError("fork refused")
+        monkeypatch.setattr(os, "fork", refuse)
+        self.on_cpus(monkeypatch, 2)
+        model = init_model(41, 30, self.D, seed=3)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="fork refused"):
+            half_step(update_users, model, self.data(rng), hp_direct(dim=self.D))
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
     @pytest.mark.parametrize("missing", ["a second CPU", "os.fork"])
     def test_serial_without(self, rng, monkeypatch, missing):
         if missing == "os.fork":
